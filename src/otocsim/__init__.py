@@ -7,6 +7,8 @@ across a topological phase transition, which the sweep engine locates on
 parameter grids.
 """
 
+__version__ = "0.1.0"   # pyproject.toml reads the version from here
+
 from .analytic import (AnalyticEigenSystem, analytic_eigenpairs, band_mode,
                        chiral_plateau, extended_chain_hamiltonian,
                        otoc_chiral_closed_form, otoc_site_closed_form,
@@ -30,5 +32,3 @@ from .pipeline import (build_hamiltonian, build_initial_state,
                        build_w_operator, run_point)
 from .sweep import (SweepResult, SweepAxis, SweepError, detect_transition,
                     estimate_transition_powerlaw, sweep)
-
-__version__ = "0.1.0"

@@ -23,18 +23,6 @@ class EigensolverError(RuntimeError):
     """Dense eigensolver failed to converge."""
 
 
-_decompose_count = 0
-
-
-def decompose_count() -> int:
-    return _decompose_count
-
-
-def reset_decompose_count() -> None:
-    global _decompose_count
-    _decompose_count = 0
-
-
 @dataclass
 class TimeGrid:
     """Uniform grid 0, dt, 2*dt, ..., t_max in units of 1/energy_unit."""
@@ -96,8 +84,6 @@ class OtocSeries:
 def spectral_decompose(H: HamiltonianMatrix) -> Propagator:
     """Diagonalize H, falling back to exponential stepping when the
     eigenvector matrix is numerically unusable."""
-    global _decompose_count
-    _decompose_count += 1
     if H.hermitian:
         try:
             lam, V = np.linalg.eigh(H.entries)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .config import OBSERVABLES, ConfigError
 from .lattice import DisorderConfig
 
 DEFAULT_N_CONFIGS = 30
@@ -57,34 +58,40 @@ class EnsembleResult:
     times: np.ndarray | None = None
 
 
-_OBSERVABLES = ("long_time_limit", "time_average", "full_series")
-
-
 def ensemble_average(model_spec: dict, n_configs: int = DEFAULT_N_CONFIGS,
-                     seed0: int = 0,
-                     observable: str = "long_time_limit") -> EnsembleResult:
+                     seed0: int | None = 0,
+                     observable: str = "long_time_limit",
+                     times=None) -> EnsembleResult:
     """Run the full OTOC pipeline once per disorder configuration and average
     the chosen observable (the observable is averaged, not the Hamiltonians).
 
     model_spec is a config mapping as accepted by pipeline.run_point, minus
-    any per-config seed; its disorder section supplies d1/d2.
+    any per-config seed; its disorder section supplies d1/d2. Member i uses
+    seed0 + i. With seed0 None the single member is model_spec itself (its
+    own disorder.seed, if any), and its errors pass through unwrapped.
+    Explicit times replace the config's time grid.
     """
     if n_configs < 1:
         raise ValueError("n_configs must be at least 1")
-    if observable not in _OBSERVABLES:
+    if seed0 is None and n_configs != 1:
+        raise ValueError("an ensemble of more than one config needs seed0")
+    if observable not in OBSERVABLES:
         raise ValueError(f"unknown observable {observable!r}")
     from . import pipeline  # deferred: pipeline imports draw_disorder from here
 
     per_config = []
-    times = None
+    series_times = None
     for i in range(n_configs):
+        seed = None if seed0 is None else seed0 + i
         try:
             out = pipeline.run_point(model_spec, observable=observable,
-                                     seed=seed0 + i)
+                                     seed=seed, times=times)
         except Exception as exc:
+            if seed is None or isinstance(exc, ConfigError):
+                raise
             raise EnsembleError(i, str(exc)) from exc
         if observable == "full_series":
-            times = out.times
+            series_times = out.times
             per_config.append(out.values)
         else:
             per_config.append(float(out))
@@ -99,4 +106,4 @@ def ensemble_average(model_spec: dict, n_configs: int = DEFAULT_N_CONFIGS,
         std = float(std)
     return EnsembleResult(observable=observable, n_configs=n_configs,
                           seed0=seed0, mean=mean, std=std,
-                          per_config=per_config, times=times)
+                          per_config=per_config, times=series_times)

@@ -14,10 +14,10 @@ import json
 
 import numpy as np
 
+from . import __version__
 from .config import fingerprint
 
 TOOL_NAME = "otocsim"
-TOOL_VERSION = "0.1.0"
 
 _F = "%.17g"
 
@@ -88,7 +88,7 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def series_envelope(cfg: dict, series) -> dict:
-    env = {"tool": TOOL_NAME, "version": TOOL_VERSION, "kind": "otoc_series",
+    env = {"tool": TOOL_NAME, "version": __version__, "kind": "otoc_series",
            "fingerprint": fingerprint(cfg), "config": cfg,
            "times": series.times, "otoc": series.values}
     if series.amplitudes is not None:
@@ -98,7 +98,7 @@ def series_envelope(cfg: dict, series) -> dict:
 
 
 def sweep_envelope(cfg: dict, result) -> dict:
-    env = {"tool": TOOL_NAME, "version": TOOL_VERSION, "kind": "sweep",
+    env = {"tool": TOOL_NAME, "version": __version__, "kind": "sweep",
            "fingerprint": fingerprint(cfg), "config": cfg,
            "observable": result.observable,
            "axis1": {"name": result.axis1.name, "values": result.axis1.values},
@@ -116,7 +116,7 @@ def _disorder_d(dis: dict):
 
 def ensemble_envelope(cfg: dict, result) -> dict:
     dis = cfg["disorder"]
-    return {"tool": TOOL_NAME, "version": TOOL_VERSION, "kind": "ensemble",
+    return {"tool": TOOL_NAME, "version": __version__, "kind": "ensemble",
             "fingerprint": fingerprint(cfg),
             "model": cfg["model"], "params": cfg["params"],
             "d": _disorder_d(dis), "n_configs": result.n_configs,

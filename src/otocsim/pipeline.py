@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import lattice, operators
-from .config import fingerprint
-from .dynamics import (Propagator, TimeGrid, long_time_limit, otoc_series,
+from .config import ConfigError, fingerprint
+from .dynamics import (TimeGrid, long_time_limit, otoc_series,
                        spectral_decompose, time_average)
 from .ensemble import draw_disorder
 from .analytic import extended_chain_hamiltonian
@@ -63,7 +63,7 @@ def build_initial_state(H: HamiltonianMatrix, spec: dict) -> StateVector:
         return operators.basis_state(layout, cell, spec.get("sublattice", "A"))
     if kind == "index":
         amp = np.zeros(H.dim, dtype=complex)
-        amp[int(spec["index"])] = 1.0
+        amp[_check_index(int(spec["index"]), H.dim, "initial_state.index")] = 1.0
         return StateVector(dim=H.dim, amplitudes=amp, normalized=True)
     if kind == "site":
         # 1-based site coordinates of the four-component square lattice
@@ -102,7 +102,8 @@ def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
     if kind == "chiral_partial":
         return operators.chiral_partial(layout, j=int(spec.get("j", 3)))
     if kind == "index_projector":
-        indices = [int(i) for i in spec["indices"]]
+        indices = [_check_index(int(i), H.dim, f"w_operator.indices[{k}]")
+                   for k, i in enumerate(spec["indices"])]
         if len(set(indices)) != len(indices):
             raise ValueError("duplicate indices in projector")
         diag = np.zeros(H.dim)
@@ -125,17 +126,28 @@ def _disorder_from_config(cfg: dict, seed: int | None) -> DisorderConfig | None:
     return draw_disorder(int(seed), N, dis["d1"], dis["d2"])
 
 
-def make_propagator(cfg: dict, seed: int | None = None) -> Propagator:
-    disorder = _disorder_from_config(cfg, seed)
-    H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
-    return spectral_decompose(H)
+def _check_index(index: int, dim: int, where: str) -> int:
+    if not 0 <= index < dim:
+        raise ConfigError(f"{where} = {index} is out of range 0..{dim - 1}")
+    return index
+
+
+def _check_contracts(values: np.ndarray, bound: float) -> None:
+    """O(t) must be finite and at most the squared operator-norm bound of W."""
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError("O(t) is not finite")
+    worst = float(values.max())
+    if worst > bound ** 2 * (1.0 + 1e-9):
+        raise FloatingPointError(f"O(t) reaches {worst:.6g}, above the bound "
+                                 f"opnorm_bound^2 = {bound ** 2:g}")
 
 
 def run_point(cfg: dict, observable: str = "full_series",
-              seed: int | None = None):
-    """One pipeline pass: build, decompose once, evolve, reduce.
+              seed: int | None = None, times=None):
+    """One pipeline pass: build, decompose once, evolve, check, reduce.
 
-    Returns an OtocSeries for "full_series", otherwise a float.
+    O(t) is sampled on the config's time grid unless explicit times are
+    given. Returns an OtocSeries for "full_series", otherwise a float.
     """
     disorder = _disorder_from_config(cfg, seed)
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
@@ -144,7 +156,8 @@ def run_point(cfg: dict, observable: str = "full_series",
     W = build_w_operator(H, cfg["w_operator"])
     tg = cfg.get("time_grid", {})
     grid = TimeGrid(t_max=tg.get("t_max", 400.0), dt=tg.get("dt", 0.2))
-    series = otoc_series(prop, W, psi0, grid)
+    series = otoc_series(prop, W, psi0, grid, times=times)
+    _check_contracts(series.values, W.opnorm_bound)
     series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg))
     if observable == "full_series":
         return series
@@ -154,15 +167,3 @@ def run_point(cfg: dict, observable: str = "full_series",
     if observable == "time_average":
         return time_average(series)
     raise ValueError(f"unknown observable {observable!r}")
-
-
-def run_series_at(cfg: dict, times, seed: int | None = None):
-    """Like run_point but samples O(t) at an explicit list of times."""
-    disorder = _disorder_from_config(cfg, seed)
-    H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
-    prop = spectral_decompose(H)
-    psi0 = build_initial_state(H, cfg["initial_state"])
-    W = build_w_operator(H, cfg["w_operator"])
-    series = otoc_series(prop, W, psi0, times=times)
-    series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg))
-    return series

@@ -11,13 +11,14 @@ a whole row shares one decomposition.
 from __future__ import annotations
 
 import copy
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pipeline
-from .config import fingerprint
+from .config import ConfigError, fingerprint
+from .ensemble import ensemble_average
 
 
 class SweepError(RuntimeError):
@@ -63,27 +64,19 @@ def _assigned(cfg: dict, name: str, value: float) -> dict:
     return out
 
 
-def _point_scalar(args):
-    cfg, observable = args
-    dis = cfg.get("disorder")
-    if dis is not None and "n_configs" in dis:
-        from .ensemble import ensemble_average
-        res = ensemble_average(cfg, n_configs=dis["n_configs"],
-                               seed0=dis["seed0"], observable=observable)
-        return res.mean
-    return pipeline.run_point(cfg, observable=observable)
+def _point(job):
+    """One grid point as a disorder ensemble; a point without an ensemble is
+    a one-member ensemble of the config itself."""
+    cfg, observable, times = job
+    dis = cfg.get("disorder") or {}
+    return ensemble_average(cfg, n_configs=dis.get("n_configs", 1),
+                            seed0=dis.get("seed0"), observable=observable,
+                            times=times).mean
 
 
-def _point_series(args):
-    cfg, times = args
-    dis = cfg.get("disorder")
-    if dis is not None and "n_configs" in dis:
-        acc = None
-        for i in range(dis["n_configs"]):
-            vals = pipeline.run_series_at(cfg, times, seed=dis["seed0"] + i).values
-            acc = vals if acc is None else acc + vals
-        return acc / dis["n_configs"]
-    return pipeline.run_series_at(cfg, times).values
+def _failure(label: str, exc: Exception) -> Exception:
+    kind = ConfigError if isinstance(exc, ConfigError) else SweepError
+    return kind(f"grid point {label} failed: {exc}")
 
 
 def _run_points(worker, jobs, labels, workers: int):
@@ -93,7 +86,7 @@ def _run_points(worker, jobs, labels, workers: int):
             try:
                 results[i] = worker(job)
             except Exception as exc:
-                raise SweepError(f"grid point {labels[i]} failed: {exc}") from exc
+                raise _failure(labels[i], exc) from exc
         return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(worker, job) for job in jobs]
@@ -101,7 +94,7 @@ def _run_points(worker, jobs, labels, workers: int):
             try:
                 results[i] = fut.result()
             except Exception as exc:
-                raise SweepError(f"grid point {labels[i]} failed: {exc}") from exc
+                raise _failure(labels[i], exc) from exc
     return results
 
 
@@ -120,43 +113,30 @@ def sweep(cfg: dict, workers: int = 1) -> SweepResult:
     if cfg.get("disorder") is not None:
         meta["disorder"] = cfg["disorder"]
 
-    t_axes = [ax for ax in (ax1, ax2) if ax is not None and ax.name == "t"]
+    axes = [ax for ax in (ax1, ax2) if ax is not None]
+    t_axes = [ax for ax in axes if ax.name == "t"]
     if len(t_axes) > 1:
         raise ValueError("at most one axis may be 't'")
     if t_axes:
-        t_ax = t_axes[0]
-        p_ax = ax2 if t_ax is ax1 else ax1
-        observable = "otoc"
-        if p_ax is None:
-            vals = _point_series((cfg, t_ax.values))
-            return SweepResult(axis1=ax1, axis2=None, grid=np.asarray(vals),
-                               observable=observable, metadata=meta)
-        jobs = [(_assigned(cfg, p_ax.name, v), t_ax.values) for v in p_ax.values]
-        labels = [f"({p_ax.name}={v:g})" for v in p_ax.values]
-        rows = _run_points(_point_series, jobs, labels, workers)
-        grid = np.asarray(rows)      # (param, t)
-        if t_ax is ax1:
-            grid = grid.T            # (t, param)
-        return SweepResult(axis1=ax1, axis2=ax2, grid=grid,
-                           observable=observable, metadata=meta)
-
-    if observable == "full_series":
+        times, point_observable, observable = t_axes[0].values, "full_series", "otoc"
+    elif observable == "full_series":
         raise ValueError("full_series grids need a 't' axis")
-    if ax2 is None:
-        jobs = [(_assigned(cfg, ax1.name, v), observable) for v in ax1.values]
-        labels = [f"({ax1.name}={v:g})" for v in ax1.values]
-        vals = _run_points(_point_scalar, jobs, labels, workers)
-        return SweepResult(axis1=ax1, axis2=None,
-                           grid=np.asarray(vals, dtype=float),
-                           observable=observable, metadata=meta)
+    else:
+        times, point_observable = None, observable
+    p_axes = [ax for ax in axes if ax.name != "t"]
     jobs, labels = [], []
-    for v1 in ax1.values:
-        base = _assigned(cfg, ax1.name, v1)
-        for v2 in ax2.values:
-            jobs.append((_assigned(base, ax2.name, v2), observable))
-            labels.append(f"({ax1.name}={v1:g}, {ax2.name}={v2:g})")
-    vals = _run_points(_point_scalar, jobs, labels, workers)
-    grid = np.asarray(vals, dtype=float).reshape(ax1.values.size, ax2.values.size)
+    for values in itertools.product(*(ax.values for ax in p_axes)):
+        point = cfg
+        for ax, v in zip(p_axes, values):
+            point = _assigned(point, ax.name, v)
+        jobs.append((point, point_observable, times))
+        names = ", ".join(f"{ax.name}={v:g}" for ax, v in zip(p_axes, values))
+        labels.append(f"({names or 't'})")
+    vals = _run_points(_point, jobs, labels, workers)
+    grid = np.asarray(vals, dtype=float).reshape(
+        [ax.values.size for ax in p_axes + t_axes])
+    if t_axes and p_axes and t_axes[0] is ax1:
+        grid = grid.T            # (t, param)
     return SweepResult(axis1=ax1, axis2=ax2, grid=grid,
                        observable=observable, metadata=meta)
 

@@ -96,6 +96,42 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, spec, field", [
+    ("initial_state", {"kind": "index", "index": -1}, "initial_state.index"),
+    ("initial_state", {"kind": "index", "index": 20}, "initial_state.index"),
+    ("w_operator", {"kind": "index_projector", "indices": [0, 25]},
+     "w_operator.indices[1]"),
+    ("w_operator", {"kind": "index_projector", "indices": [-1]},
+     "w_operator.indices[0]"),
+])
+def test_out_of_range_index_names_the_field(tmp_path, capsys, section, spec,
+                                            field):
+    cfg = base_cfg(params={"N": 10, "nu": 0.5}, **{section: spec})  # dim 20
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "run.csv")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    cfg["sweep"] = {"axis1": {"name": "nu", "values": [0.5, 1.5]}}
+    code = main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_unbounded_series_is_a_numerical_failure(tmp_path, capsys):
+    # below the exceptional point the stepped series grows without bound
+    cfg = base_cfg(model="nonhermitian_ssh",
+                   params={"N": 20, "nu": 0.2, "delta": 0.4})
+    with pytest.raises(FloatingPointError, match="opnorm_bound"):
+        run_point(validate_config(cfg))
+    out = tmp_path / "run.csv"
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "opnorm_bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_reports_threshold_crossings(tmp_path, capsys):
     cfg = base_cfg(sweep={"axis1": {"name": "nu", "values": [0.5, 1.0, 1.5]}})
     out = str(tmp_path / "sweep.csv")

@@ -3,9 +3,8 @@ import pytest
 import scipy.linalg
 
 from otocsim.dynamics import (EigensolverError, OtocSeries, Propagator,
-                              TimeGrid, decompose_count, evolve,
-                              long_time_limit, otoc_amplitude, otoc_series,
-                              otoc_trace_oracle, reset_decompose_count,
+                              TimeGrid, evolve, long_time_limit,
+                              otoc_amplitude, otoc_series, otoc_trace_oracle,
                               spectral_decompose, time_average)
 from otocsim.lattice import (HamiltonianMatrix, LatticeLayout,
                              build_nonhermitian_ssh, build_ssh)
@@ -266,16 +265,6 @@ def test_stepping_needs_uniform_grid():
     W = site_projector(H.layout, [[1, "A"]])
     with pytest.raises(ValueError):
         otoc_series(stepping, W, psi, times=np.array([0.0, 1.0, 3.0]))
-
-
-def test_decompose_counter_tracks_calls():
-    reset_decompose_count()
-    H = build_ssh(4, 0.7)
-    spectral_decompose(H)
-    spectral_decompose(H)
-    assert decompose_count() == 2
-    reset_decompose_count()
-    assert decompose_count() == 0
 
 
 def test_tail_statistics_window():

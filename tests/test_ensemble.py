@@ -115,6 +115,21 @@ def test_member_failure_carries_config_index():
     assert "config 0" in str(err.value)
 
 
+def test_unseeded_member_is_the_config_itself():
+    cfg = chain_cfg(disorder={"d1": 0.5, "d2": 1.0, "seed": 6})
+    ts = np.arange(0.0, 10.5, 0.5)
+    res = ensemble_average(cfg, n_configs=1, seed0=None,
+                           observable="full_series", times=ts)
+    direct = run_point(cfg, seed=6, times=ts)
+    np.testing.assert_array_equal(res.times, ts)
+    np.testing.assert_array_equal(res.mean, direct.values)
+    bad = dict(cfg, w_operator={"kind": "index_projector", "indices": [1, 1]})
+    with pytest.raises(ValueError, match="^duplicate indices"):
+        ensemble_average(bad, n_configs=1, seed0=None)
+    with pytest.raises(ValueError):
+        ensemble_average(cfg, n_configs=2, seed0=None)
+
+
 def test_ensemble_argument_validation():
     with pytest.raises(ValueError):
         ensemble_average(chain_cfg(), n_configs=0)

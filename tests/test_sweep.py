@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otocsim.dynamics import decompose_count, reset_decompose_count
+from otocsim import pipeline
 from otocsim.ensemble import ensemble_average
 from otocsim.pipeline import run_point
 from otocsim.sweep import (SweepAxis, SweepError, SweepResult,
@@ -16,6 +16,19 @@ def chain_cfg(N=40, t_max=60.0, **overrides):
            "time_grid": {"t_max": t_max, "dt": 0.5}}
     cfg.update(overrides)
     return cfg
+
+
+def count_decompositions(monkeypatch) -> list:
+    """Record every decomposition the pipeline makes in this process."""
+    calls = []
+    original = pipeline.spectral_decompose
+
+    def counted(H):
+        calls.append(H.dim)
+        return original(H)
+
+    monkeypatch.setattr(pipeline, "spectral_decompose", counted)
+    return calls
 
 
 def synthetic(xs, gs, name="nu"):
@@ -52,22 +65,22 @@ def test_parallel_and_serial_grids_are_bit_identical():
     assert (serial.grid == parallel.grid).all()
 
 
-def test_one_decomposition_per_grid_point():
+def test_one_decomposition_per_grid_point(monkeypatch):
     cfg = chain_cfg(N=20, sweep={
         "axis1": {"name": "nu", "values": [0.4, 0.8, 1.2, 1.6]}})
-    reset_decompose_count()
+    calls = count_decompositions(monkeypatch)
     sweep(cfg, workers=1)
-    assert decompose_count() == 4
+    assert len(calls) == 4
 
 
-def test_time_axis_shares_one_decomposition():
+def test_time_axis_shares_one_decomposition(monkeypatch):
     ts = list(np.arange(0.0, 20.5, 0.5))
     cfg = chain_cfg(N=20, sweep={
         "axis1": {"name": "nu", "values": [0.5, 1.0, 1.5]},
         "axis2": {"name": "t", "values": ts}})
-    reset_decompose_count()
+    calls = count_decompositions(monkeypatch)
     res = sweep(cfg)
-    assert decompose_count() == 3
+    assert len(calls) == 3
     assert res.grid.shape == (3, len(ts))
     assert res.observable == "otoc"
     assert np.abs(res.grid[:, 0] - 1.0).max() <= 1e-12
@@ -109,6 +122,21 @@ def test_seeded_ensemble_inside_sweep():
         member["params"]["nu"] = nu
         want = ensemble_average(member, n_configs=2, seed0=7).mean
         assert res.grid[i] == want
+
+
+def test_time_axis_ensemble_rows_are_series_means():
+    ts = list(np.arange(0.0, 10.5, 0.5))
+    dis = {"d1": 0.25, "d2": 0.5, "n_configs": 3, "seed0": 2}
+    cfg = chain_cfg(N=20, disorder=dis,
+                    sweep={"axis1": {"name": "nu", "values": [0.3, 0.9]},
+                           "axis2": {"name": "t", "values": ts}})
+    res = sweep(cfg)
+    for i, nu in enumerate((0.3, 0.9)):
+        member = chain_cfg(N=20, disorder=dis)
+        member["params"]["nu"] = nu
+        want = ensemble_average(member, n_configs=3, seed0=2,
+                                observable="full_series", times=ts).mean
+        assert (res.grid[i] == want).all()
 
 
 def test_failing_point_is_named():
