@@ -13,6 +13,8 @@ import hashlib
 import json
 
 OBSERVABLES = ("long_time_limit", "time_average", "full_series")
+# relative slack on "t_max is a multiple of dt", for decimal steps like 0.2
+_GRID_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -177,6 +179,12 @@ def _validate_time_grid(cfg: dict) -> None:
     tg["dt"] = _number(tg["dt"], "time_grid.dt")
     if tg["t_max"] <= 0 or tg["dt"] <= 0:
         raise ConfigError("time_grid.t_max and time_grid.dt must be positive")
+    if tg["dt"] > tg["t_max"]:
+        raise ConfigError("time_grid.dt must not exceed time_grid.t_max")
+    steps = tg["t_max"] / tg["dt"]
+    if abs(steps - round(steps)) > _GRID_SLACK * steps:
+        raise ConfigError(f"time_grid.dt must divide time_grid.t_max "
+                          f"(t_max / dt = {steps:.6g})")
     cfg["time_grid"] = tg
 
 

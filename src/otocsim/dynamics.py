@@ -7,6 +7,7 @@ Times are dimensionless multiples of 1/energy_unit of the Hamiltonian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from .operators import OperatorMatrix, StateVector
 
 CONDITION_FALLBACK = 1e8
 _ORACLE_MAX_DIM = 64
+_GRID_RTOL = 1e-13
 
 
 class EigensolverError(RuntimeError):
@@ -110,8 +112,39 @@ def spectral_decompose(H: HamiltonianMatrix) -> Propagator:
                       hamiltonian=np.asarray(H.entries))
 
 
-def _phases(prop: Propagator, tau) -> np.ndarray:
-    return np.exp(-1j * np.multiply.outer(prop.eigenvalues, tau))
+def _is_uniform(tau: np.ndarray) -> bool:
+    """True when tau[k] = tau[0] + k*h for one step h, up to a deviation of
+    _GRID_RTOL times the largest |tau| (the rounding of k*dt grows with k)."""
+    if tau.size < 2:
+        return True
+    h = (tau[-1] - tau[0]) / (tau.size - 1)
+    dev = np.abs(tau - (tau[0] + h * np.arange(tau.size))).max()
+    return bool(dev <= _GRID_RTOL * np.abs(tau).max())
+
+
+def _phase_blocks(lam: np.ndarray, tau: np.ndarray):
+    """Factors of exp(-i lam tau) on a uniform grid of n_t >= 4 samples, or
+    None on any other grid. With B = ceil(sqrt(n_t)),
+    coarse[:, b] = exp(-i lam tau[b*B]) and fine[:, m] = exp(-i lam (tau[m] -
+    tau[0])), so exp(-i lam tau[b*B + m]) = coarse[:, b] * fine[:, m]: 2*n*B
+    exponentials instead of n*n_t."""
+    if tau.size < 4 or not _is_uniform(tau):
+        return None
+    B = math.isqrt(tau.size - 1) + 1
+    coarse = np.exp(-1j * np.multiply.outer(lam, tau[::B]))
+    fine = np.exp(-1j * np.multiply.outer(lam, tau[:B] - tau[0]))
+    return coarse, fine
+
+
+def _phase_table(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-i lam tau) as an n x n_t table, assembled from _phase_blocks
+    where they apply."""
+    blocks = _phase_blocks(lam, tau)
+    if blocks is None:
+        return np.exp(-1j * np.multiply.outer(lam, tau))
+    coarse, fine = blocks
+    table = coarse[:, :, None] * fine[:, None, :]
+    return table.reshape(lam.size, -1)[:, :tau.size]
 
 
 def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:
@@ -152,30 +185,45 @@ def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     return complex(np.vdot(g, W.entries @ f))
 
 
+def _diagonal_weights(prop, w, psi0, tau):
+    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 for a real diagonal W and Hermitian
+    H. A support of at most B rows is contracted block by block and never
+    forms the n x n_t phase table; a wider support is one matrix product
+    with the table, which is faster there than the block loop."""
+    rows = np.nonzero(w)[0]
+    A = prop.eigenvectors[rows, :] * (prop.inverse_eigenvectors @ psi0)
+    blocks = _phase_blocks(prop.eigenvalues, tau)
+    if blocks is None or rows.size > blocks[1].shape[1]:
+        U = A @ _phase_table(prop.eigenvalues, tau)
+    else:
+        coarse, fine = blocks
+        U = np.empty((rows.size, coarse.shape[1], fine.shape[1]), dtype=complex)
+        for b in range(coarse.shape[1]):
+            U[:, b, :] = (A * coarse[:, b]) @ fine
+        U = U.reshape(rows.size, -1)[:, :tau.size]
+    return (w[rows, None] * (np.abs(U) ** 2)).sum(axis=0).astype(complex)
+
+
 def _series_amplitudes_spectral(prop, W, psi0, tau):
     lam = prop.eigenvalues
     if prop.kind == "hermitian_spectral":
-        c = prop.inverse_eigenvectors @ psi0
-        phi = _phases(prop, tau) * c[:, None]
         if W.is_diagonal:
-            w = np.real(np.diagonal(W.entries))
-            rows = np.nonzero(w)[0]
-            U = prop.eigenvectors[rows, :] @ phi
-            return (w[rows, None] * (np.abs(U) ** 2)).sum(axis=0).astype(complex)
+            return _diagonal_weights(prop, np.real(np.diagonal(W.entries)), psi0, tau)
+        phi = _phase_table(lam, tau) * (prop.inverse_eigenvectors @ psi0)[:, None]
         Wt = prop.inverse_eigenvectors @ W.entries @ prop.eigenvectors
         return np.einsum("kt,kt->t", np.conj(phi), Wt @ phi)
     c = prop.inverse_eigenvectors @ psi0
     d = prop.eigenvectors.conj().T @ psi0
     M = prop.inverse_eigenvectors @ W.entries @ prop.eigenvectors
-    A = M @ (_phases(prop, tau) * c[:, None])
-    B = np.exp(-1j * np.multiply.outer(np.conj(lam), tau)) * d[:, None]
+    A = M @ (_phase_table(lam, tau) * c[:, None])
+    B = _phase_table(np.conj(lam), tau) * d[:, None]
     return np.einsum("kt,kt->t", np.conj(B), A)
 
 
 def _series_amplitudes_stepping(prop, W, psi0, tau):
-    steps = np.diff(tau)
-    if steps.size and not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15):
+    if not _is_uniform(tau):
         raise ValueError("exponential stepping needs a uniform time grid")
+    steps = np.diff(tau)
     H = prop.hamiltonian
     f = psi0.astype(complex)
     g = psi0.astype(complex)
@@ -200,7 +248,12 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
                 times: np.ndarray | None = None) -> OtocSeries:
     """O(t) on the whole grid, reusing a single decomposition. An explicit
     times array overrides the uniform grid (exponential stepping still needs
-    uniform spacing)."""
+    uniform spacing).
+
+    On a uniform grid of n_t >= 4 samples the spectral forms evaluate
+    2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
+    the default 2001 samples, instead of n_t; other grids take n_t per
+    eigenvalue. general_spectral needs twice that, for lam and conj(lam)."""
     if times is None:
         if grid is None:
             grid = TimeGrid()

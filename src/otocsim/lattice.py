@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigError
+
 SIGMA_0 = np.eye(2, dtype=complex)
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -19,8 +21,8 @@ SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _HERMITICITY_TOL = 1e-12
 
 
-class LatticeError(ValueError):
-    """Invalid lattice geometry or site addressing."""
+class LatticeError(ConfigError):
+    """Invalid lattice geometry or site addressing (a config error: exit 2)."""
 
 
 @dataclass(frozen=True)

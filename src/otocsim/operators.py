@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .lattice import (SIGMA_2, SIGMA_3, HamiltonianMatrix, LatticeError,
                       LatticeLayout, chiral_matrix)
 
@@ -30,8 +31,8 @@ class OperatorMatrix:
 
     @property
     def is_diagonal(self) -> bool:
-        off = self.entries - np.diag(np.diagonal(self.entries))
-        return not np.any(off)
+        return (np.count_nonzero(self.entries)
+                == np.count_nonzero(np.diagonal(self.entries)))
 
 
 @dataclass
@@ -65,9 +66,9 @@ def site_projector(layout: LatticeLayout, sites) -> OperatorMatrix:
     for cell, subl in sites:
         indices.append(layout.index_of(cell, subl))
     if len(set(indices)) != len(indices):
-        raise ValueError("duplicate sites in projector")
+        raise ConfigError("duplicate sites in projector")
     if not indices:
-        raise ValueError("projector needs at least one site")
+        raise ConfigError("projector needs at least one site")
     diag = np.zeros(layout.dim)
     diag[indices] = 1.0
     return OperatorMatrix(dim=layout.dim, entries=np.diag(diag), opnorm_bound=1.0)
@@ -88,7 +89,7 @@ def chiral_partial(layout: LatticeLayout, j: int = 3) -> OperatorMatrix:
     if layout.kind != "chain1d" or layout.sublattices != 2:
         raise LatticeError("chiral_partial applies to two-sublattice chains")
     if j not in (2, 3):
-        raise ValueError("j must be 2 or 3")
+        raise ConfigError("j must be 2 or 3")
     N = layout.cells_x
     if j == 3:
         diag = np.zeros(2 * N)
@@ -125,7 +126,7 @@ def staggered_state(layout: LatticeLayout, M: int, flavor: str = "ssh_A") -> Sta
     if layout.kind != "chain1d" or layout.sublattices != 2:
         raise LatticeError("staggered states are defined on two-sublattice chains")
     if not 1 <= M <= layout.cells_x:
-        raise ValueError(f"M must lie in 1..{layout.cells_x}")
+        raise ConfigError(f"M must lie in 1..{layout.cells_x}")
     amp = np.zeros(layout.dim, dtype=complex)
     if flavor == "ssh_A":
         for m in range(M):
@@ -136,7 +137,7 @@ def staggered_state(layout: LatticeLayout, M: int, flavor: str = "ssh_A") -> Sta
             amp[2 * m] = sign / np.sqrt(2 * M)
             amp[2 * m + 1] = 1j * sign / np.sqrt(2 * M)
     else:
-        raise ValueError(f"unknown staggered flavor {flavor!r}")
+        raise ConfigError(f"unknown staggered flavor {flavor!r}")
     return StateVector(dim=layout.dim, amplitudes=amp, normalized=True)
 
 
@@ -157,7 +158,7 @@ def lowest_abs_eigenstate(H: HamiltonianMatrix,
     energy.
     """
     if not H.hermitian:
-        raise ValueError("lowest_abs_eigenstate needs a Hermitian Hamiltonian")
+        raise ConfigError("lowest_abs_eigenstate needs a Hermitian Hamiltonian")
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * H.energy_unit
     lam, V = np.linalg.eigh(H.entries)

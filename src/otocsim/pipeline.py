@@ -24,7 +24,7 @@ MODELS = ("ssh", "nonhermitian_ssh", "creutz", "haldane", "qwz", "ssh2d",
 def build_hamiltonian(model: str, params: dict,
                       disorder: DisorderConfig | None = None) -> HamiltonianMatrix:
     if disorder is not None and model != "ssh":
-        raise ValueError(f"disorder is only supported for model 'ssh', not {model!r}")
+        raise ConfigError(f"disorder is only supported for model 'ssh', not {model!r}")
     if model == "ssh":
         return lattice.build_ssh(int(params["N"]), params["nu"],
                                  eta=params.get("eta", 0.0),
@@ -50,7 +50,7 @@ def build_hamiltonian(model: str, params: dict,
     if model == "extended_chain":
         return extended_chain_hamiltonian(int(params["N"]), params["nu"],
                                           epsilon=params.get("epsilon", 1.0))
-    raise ValueError(f"unknown model {model!r}")
+    raise ConfigError(f"unknown model {model!r}")
 
 
 def build_initial_state(H: HamiltonianMatrix, spec: dict) -> StateVector:
@@ -84,7 +84,7 @@ def build_initial_state(H: HamiltonianMatrix, spec: dict) -> StateVector:
             state = StateVector(dim=H.dim, amplitudes=projected.amplitudes / nrm,
                                 normalized=True)
         return state
-    raise ValueError(f"unknown initial state kind {kind!r}")
+    raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
 def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
@@ -105,13 +105,13 @@ def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
         indices = [_check_index(int(i), H.dim, f"w_operator.indices[{k}]")
                    for k, i in enumerate(spec["indices"])]
         if len(set(indices)) != len(indices):
-            raise ValueError("duplicate indices in projector")
+            raise ConfigError("duplicate indices in projector")
         diag = np.zeros(H.dim)
         diag[indices] = 1.0
         return OperatorMatrix(dim=H.dim, entries=np.diag(diag), opnorm_bound=1.0)
     if kind == "identity":
         return OperatorMatrix(dim=H.dim, entries=np.eye(H.dim), opnorm_bound=1.0)
-    raise ValueError(f"unknown operator kind {kind!r}")
+    raise ConfigError(f"unknown operator kind {kind!r}")
 
 
 def _disorder_from_config(cfg: dict, seed: int | None) -> DisorderConfig | None:

@@ -118,6 +118,30 @@ def test_out_of_range_index_names_the_field(tmp_path, capsys, section, spec,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"w_operator": {"kind": "index_projector", "indices": [1, 1]}},
+     "duplicate indices"),
+    ({"w_operator": {"kind": "site_projector", "sites": [[1, "A"], [1, "A"]]}},
+     "duplicate sites"),
+    ({"params": {"N": 1, "nu": 0.5}}, "need at least N=2 cells"),
+    ({"initial_state": {"kind": "basis", "cell": 21, "sublattice": "A"}},
+     "cell 21 out of range"),
+    ({"time_grid": {"t_max": 1.0, "dt": 0.3}}, "time_grid.dt"),
+])
+def test_config_errors_exit_2_under_otoc_and_sweep(tmp_path, capsys,
+                                                   overrides, message):
+    cfg = base_cfg(**overrides)
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "run.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    cfg["sweep"] = {"axis1": {"name": "nu", "values": [0.5, 1.5]}}
+    code = main(["sweep", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_unbounded_series_is_a_numerical_failure(tmp_path, capsys):
     # below the exceptional point the stepped series grows without bound
     cfg = base_cfg(model="nonhermitian_ssh",

@@ -138,6 +138,13 @@ def test_time_grid_validation():
         validate_config(minimal(time_grid={"t_max": -1.0}))
     out = validate_config(minimal(time_grid={"dt": 0.1}))
     assert out["time_grid"] == {"t_max": 400.0, "dt": 0.1}
+    # the grid must end at t_max: dt divides it, up to decimal rounding
+    for t_max, dt in ((1.0, 0.3), (1.0, 2.0), (400.0, 0.3)):
+        with pytest.raises(ConfigError, match=r"time_grid\.dt"):
+            validate_config(minimal(time_grid={"t_max": t_max, "dt": dt}))
+    for t_max, dt in ((4000.0, 0.2), (1.0, 0.1), (10.0, 10.0), (190.0, 0.2)):
+        out = validate_config(minimal(time_grid={"t_max": t_max, "dt": dt}))
+        assert out["time_grid"] == {"t_max": t_max, "dt": dt}
 
 
 def test_sweep_axis_validation():

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from otocsim import dynamics
 from otocsim.dynamics import (EigensolverError, OtocSeries, Propagator,
                               TimeGrid, evolve, long_time_limit,
                               otoc_amplitude, otoc_series, otoc_trace_oracle,
                               spectral_decompose, time_average)
-from otocsim.lattice import (HamiltonianMatrix, LatticeLayout,
+from otocsim.lattice import (HamiltonianMatrix, LatticeLayout, build_creutz,
                              build_nonhermitian_ssh, build_ssh)
-from otocsim.operators import (StateVector, as_operator, basis_state,
+from otocsim.operators import (OperatorMatrix, StateVector, as_operator,
+                               basis_state,
                                chiral_partial, lowest_abs_eigenstate,
                                project_sublattice_a, site_projector,
                                sublattice_projector)
@@ -286,3 +288,82 @@ def test_tail_statistics_window():
 def test_series_shape_validation():
     with pytest.raises(ValueError):
         OtocSeries(times=np.arange(3.0), values=np.arange(4.0))
+
+
+def test_stepping_accepts_its_own_long_grid():
+    # k*dt rounds differently for each k: on a 4000-long grid the steps
+    # spread by more than 1e-12 of dt, but the grid is uniform to rounding
+    H = build_ssh(4, 0.7)
+    stepping = Propagator(kind="scaled_expm", dim=H.dim,
+                          energy_unit=H.energy_unit, hamiltonian=H.entries)
+    psi = basis_state(H.layout, 1, "A")
+    W = site_projector(H.layout, [[1, "A"]])
+    grid = TimeGrid(t_max=4000.0, dt=0.2)
+    steps = np.diff(grid.times())
+    assert not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15)
+    a = otoc_series(stepping, W, psi, grid=grid)
+    b = otoc_series(spectral_decompose(H), W, psi, grid=grid)
+    assert np.abs(a.values - b.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 5, 501, 997, 2001])
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_phase_table_from_blocks_matches_direct(n_t, t0):
+    lam = spectral_decompose(build_ssh(30, 0.6)).eigenvalues
+    tau = t0 + np.arange(n_t) * 0.2
+    want = np.exp(-1j * np.multiply.outer(lam, tau))
+    got = dynamics._phase_table(lam, tau)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    assert (dynamics._phase_blocks(lam, tau) is None) == (n_t < 4)
+
+
+def test_phase_table_on_nonuniform_times_is_direct():
+    lam = spectral_decompose(build_ssh(30, 0.6)).eigenvalues
+    tau = np.array([0.0, 0.5, 1.5, 3.0, 5.0, 7.5, 10.5])
+    assert dynamics._phase_blocks(lam, tau) is None
+    np.testing.assert_array_equal(dynamics._phase_table(lam, tau),
+                                  np.exp(-1j * np.multiply.outer(lam, tau)))
+
+
+def pointwise_amplitudes(prop, W, psi, times):
+    return np.array([otoc_amplitude(prop, W, psi, float(t)) for t in times])
+
+
+@pytest.mark.parametrize("support", ["one", "B", "half", "all"])
+def test_diagonal_probe_series_matches_pointwise(rng, support, monkeypatch):
+    H = build_ssh(40, 0.6)                     # dim 80
+    prop = spectral_decompose(H)
+    psi = basis_state(H.layout, 1, "A")
+    times = 3.7 + np.arange(501) * 0.2         # B = 23
+    count = {"one": 1, "B": 23, "half": 40, "all": 80}[support]
+    w = np.zeros(H.dim)
+    w[rng.choice(H.dim, size=count, replace=False)] = rng.uniform(0.1, 1.0, count)
+    W = OperatorMatrix(dim=H.dim, entries=np.diag(w), opnorm_bound=1.0)
+    if count <= 23:
+        # small supports are contracted block by block, without the table
+        def no_table(lam, tau):
+            raise AssertionError("phase table built for a small support")
+        monkeypatch.setattr(dynamics, "_phase_table", no_table)
+    series = otoc_series(prop, W, psi, times=times)
+    want = pointwise_amplitudes(prop, W, psi, times)
+    assert np.abs(series.amplitudes - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["creutz_sigma_2", "general_spectral"])
+def test_table_branches_match_pointwise(case):
+    if case == "creutz_sigma_2":
+        H = build_creutz(20, 1.0, 0.5)
+        W = chiral_partial(H.layout, j=2)      # dense, not diagonal
+        assert not W.is_diagonal
+        prop = spectral_decompose(H)
+    else:
+        H = build_nonhermitian_ssh(10, 1.5, 0.4)
+        W = site_projector(H.layout, [[1, "A"], [2, "B"]])
+        prop = spectral_decompose(H)
+        assert prop.kind == "general_spectral"
+    psi = basis_state(H.layout, 1, "A")
+    times = TimeGrid(t_max=100.0, dt=0.2).times()
+    series = otoc_series(prop, W, psi, times=times)
+    want = pointwise_amplitudes(prop, W, psi, times)
+    assert np.abs(series.amplitudes - want).max() <= 1e-12

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from otocsim import pipeline
+from otocsim.config import ConfigError
+from otocsim.dynamics import EigensolverError
 from otocsim.ensemble import (EnsembleError, draw_disorder, ensemble_average,
                               uniform_pm_half)
 from otocsim.lattice import build_ssh
@@ -107,12 +110,20 @@ def test_time_average_observable_routed():
     assert res.per_config[0] == direct
 
 
-def test_member_failure_carries_config_index():
-    cfg = chain_cfg(w_operator={"kind": "index_projector", "indices": [1, 1]})
+def test_member_failure_carries_config_index(monkeypatch):
+    # a numerical failure is wrapped with the member index; a config error
+    # (such as duplicate projector indices) passes through unwrapped
+    def failing(H):
+        raise EigensolverError("no convergence")
+    monkeypatch.setattr(pipeline, "spectral_decompose", failing)
     with pytest.raises(EnsembleError) as err:
-        ensemble_average(cfg, n_configs=3, seed0=0)
+        ensemble_average(chain_cfg(), n_configs=3, seed0=0)
     assert err.value.config_index == 0
     assert "config 0" in str(err.value)
+    monkeypatch.undo()
+    cfg = chain_cfg(w_operator={"kind": "index_projector", "indices": [1, 1]})
+    with pytest.raises(ConfigError, match="duplicate indices"):
+        ensemble_average(cfg, n_configs=3, seed0=0)
 
 
 def test_unseeded_member_is_the_config_itself():

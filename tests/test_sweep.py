@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from otocsim import pipeline
+from otocsim.config import ConfigError
 from otocsim.ensemble import ensemble_average
 from otocsim.pipeline import run_point
 from otocsim.sweep import (SweepAxis, SweepError, SweepResult,
@@ -140,8 +141,15 @@ def test_time_axis_ensemble_rows_are_series_means():
 
 
 def test_failing_point_is_named():
+    # N=1 is a config error at that point, so it stays a ConfigError
     cfg = chain_cfg(sweep={"axis1": {"name": "N", "values": [4, 1]}})
-    with pytest.raises(SweepError, match=r"\(N=1\)"):
+    with pytest.raises(ConfigError, match=r"\(N=1\)"):
+        sweep(cfg)
+    # below the exceptional point the series is unbounded: a numerical failure
+    cfg = chain_cfg(model="nonhermitian_ssh",
+                    params={"N": 20, "nu": 1.5, "delta": 0.4},
+                    sweep={"axis1": {"name": "nu", "values": [1.5, 0.2]}})
+    with pytest.raises(SweepError, match=r"\(nu=0.2\)"):
         sweep(cfg)
 
 
