@@ -9,6 +9,7 @@ offending field so the CLI can surface it verbatim.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 
@@ -80,6 +81,24 @@ def _number(value, where: str, integer: bool = False) -> float:
     return value
 
 
+def _param(model: str, key: str, value, where: str):
+    """One model parameter, checked as params.<key> is: an integer for
+    N/Nx/Ny, positive for epsilon/w and for nu on the extended chain."""
+    value = _number(value, where, integer=key in _INT_PARAMS)
+    if key in _POSITIVE_PARAMS and value <= 0:
+        raise ConfigError(f"{where} must be positive")
+    if model == "extended_chain" and key == "nu" and value <= 0:
+        raise ConfigError(f"{where} must be positive for the extended chain benchmark")
+    return value
+
+
+def _strength(value, where: str) -> float:
+    value = _number(value, where)
+    if value < 0:
+        raise ConfigError(f"{where} must be nonnegative")
+    return value
+
+
 def _validate_model(cfg: dict) -> None:
     model = cfg.get("model")
     if model is None:
@@ -90,11 +109,7 @@ def _validate_model(cfg: dict) -> None:
     required, optional = _MODEL_PARAMS[model]
     _check_keys(params, "params", required, optional)
     for key, value in list(params.items()):
-        params[key] = _number(value, f"params.{key}", integer=key in _INT_PARAMS)
-        if key in _POSITIVE_PARAMS and params[key] <= 0:
-            raise ConfigError(f"params.{key} must be positive")
-    if model == "extended_chain" and params["nu"] <= 0:
-        raise ConfigError("params.nu must be positive for the extended chain benchmark")
+        params[key] = _param(model, key, value, f"params.{key}")
     cfg["params"] = params
 
 
@@ -107,16 +122,12 @@ def _validate_disorder(cfg: dict) -> None:
     if "d" in dis:
         if "d1" in dis or "d2" in dis:
             raise ConfigError("disorder.d excludes disorder.d1/d2")
-        d = _number(dis.pop("d"), "disorder.d")
-        if d < 0:
-            raise ConfigError("disorder.d must be nonnegative")
+        d = _strength(dis.pop("d"), "disorder.d")
         # convention d2 = 2*d1 = d
         dis["d1"], dis["d2"] = d / 2.0, d
     elif "d1" in dis and "d2" in dis:
-        dis["d1"] = _number(dis["d1"], "disorder.d1")
-        dis["d2"] = _number(dis["d2"], "disorder.d2")
-        if dis["d1"] < 0 or dis["d2"] < 0:
-            raise ConfigError("disorder strengths must be nonnegative")
+        dis["d1"] = _strength(dis["d1"], "disorder.d1")
+        dis["d2"] = _strength(dis["d2"], "disorder.d2")
     else:
         raise ConfigError("disorder needs either d or both d1 and d2")
     has_seed = "seed" in dis
@@ -222,7 +233,10 @@ def _validate_sweep(cfg: dict, model: str) -> None:
         values = axis["values"]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{label}.values must be a nonempty list")
-        axis["values"] = [_number(v, f"sweep.{label}.values[{i}]")
+        check = {"t": _number, "d": _strength}.get(
+            name, functools.partial(_param, model, name))
+        # the values stay floats: the sweep assigns every axis value as one
+        axis["values"] = [float(check(v, f"sweep.{label}.values[{i}]"))
                           for i, v in enumerate(values)]
     cfg["sweep"] = sweep
 

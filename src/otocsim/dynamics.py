@@ -1,7 +1,7 @@
 """Time evolution and OTOC series evaluation.
 
 The correlator tracked everywhere is O(t) = |s(t)|^2 with
-s(t) = <psi0| e^{+iHt} W e^{-iHt} |psi0>, evaluated on a uniform time grid.
+s(t) = <psi0| e^{+iHt} W e^{-iHt} |psi0>, evaluated on a grid of times.
 Times are dimensionless multiples of 1/energy_unit of the Hamiltonian.
 """
 
@@ -16,7 +16,6 @@ import scipy.linalg
 from .lattice import HamiltonianMatrix
 from .operators import OperatorMatrix, StateVector
 
-CONDITION_FALLBACK = 1e8
 _ORACLE_MAX_DIM = 64
 _GRID_RTOL = 1e-13
 
@@ -47,10 +46,10 @@ class TimeGrid:
 class Propagator:
     """Diagonalized (or exponential-stepping) form of a Hamiltonian.
 
-    kind is "hermitian_spectral" for Hermitian input, "general_spectral" for
-    diagonalizable non-Hermitian input, and "scaled_expm" when the eigenbasis
-    is too ill-conditioned to trust (condition number above 1e8); the last
-    form keeps the Hamiltonian and evolves by matrix exponentials.
+    kind is "hermitian_spectral" for Hermitian input, which keeps the
+    eigenpairs, and "scaled_expm" for non-Hermitian input, which keeps the
+    Hamiltonian and evolves by matrix exponentials: the eigenbasis of a
+    non-Hermitian chain is too ill conditioned to trust.
     """
 
     kind: str
@@ -58,8 +57,6 @@ class Propagator:
     energy_unit: float
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    inverse_eigenvectors: np.ndarray | None = None
-    condition_estimate: float = 1.0
     hamiltonian: np.ndarray | None = None
 
 
@@ -84,42 +81,21 @@ class OtocSeries:
 
 
 def spectral_decompose(H: HamiltonianMatrix) -> Propagator:
-    """Diagonalize H, falling back to exponential stepping when the
-    eigenvector matrix is numerically unusable."""
-    if H.hermitian:
-        try:
-            lam, V = np.linalg.eigh(H.entries)
-        except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
-        return Propagator(kind="hermitian_spectral", dim=H.dim,
-                          energy_unit=H.energy_unit, eigenvalues=lam,
-                          eigenvectors=V, inverse_eigenvectors=V.conj().T,
-                          condition_estimate=1.0)
-    try:
-        lam, V = np.linalg.eig(H.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"general eigensolver failed: {exc}") from exc
-    cond = float(np.linalg.cond(V))
-    if not np.isfinite(cond) or cond > CONDITION_FALLBACK:
+    """Diagonalize a Hermitian H; keep a non-Hermitian H for exponential
+    stepping."""
+    if not H.hermitian:
+        if not np.isfinite(H.entries).all():
+            raise FloatingPointError("Hamiltonian entries are not finite")
         return Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit, eigenvalues=lam,
-                          condition_estimate=cond,
+                          energy_unit=H.energy_unit,
                           hamiltonian=np.asarray(H.entries))
-    return Propagator(kind="general_spectral", dim=H.dim,
+    try:
+        lam, V = np.linalg.eigh(H.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
+    return Propagator(kind="hermitian_spectral", dim=H.dim,
                       energy_unit=H.energy_unit, eigenvalues=lam,
-                      eigenvectors=V, inverse_eigenvectors=np.linalg.inv(V),
-                      condition_estimate=cond,
-                      hamiltonian=np.asarray(H.entries))
-
-
-def _is_uniform(tau: np.ndarray) -> bool:
-    """True when tau[k] = tau[0] + k*h for one step h, up to a deviation of
-    _GRID_RTOL times the largest |tau| (the rounding of k*dt grows with k)."""
-    if tau.size < 2:
-        return True
-    h = (tau[-1] - tau[0]) / (tau.size - 1)
-    dev = np.abs(tau - (tau[0] + h * np.arange(tau.size))).max()
-    return bool(dev <= _GRID_RTOL * np.abs(tau).max())
+                      eigenvectors=V)
 
 
 def _phase_blocks(lam: np.ndarray, tau: np.ndarray):
@@ -127,8 +103,14 @@ def _phase_blocks(lam: np.ndarray, tau: np.ndarray):
     None on any other grid. With B = ceil(sqrt(n_t)),
     coarse[:, b] = exp(-i lam tau[b*B]) and fine[:, m] = exp(-i lam (tau[m] -
     tau[0])), so exp(-i lam tau[b*B + m]) = coarse[:, b] * fine[:, m]: 2*n*B
-    exponentials instead of n*n_t."""
-    if tau.size < 4 or not _is_uniform(tau):
+    exponentials instead of n*n_t. Uniform means that tau deviates from the
+    line through its end points by at most _GRID_RTOL times the largest
+    |tau| (the rounding of k*dt grows with k)."""
+    if tau.size < 4:
+        return None
+    h = (tau[-1] - tau[0]) / (tau.size - 1)
+    if (np.abs(tau - (tau[0] + h * np.arange(tau.size))).max()
+            > _GRID_RTOL * np.abs(tau).max()):
         return None
     B = math.isqrt(tau.size - 1) + 1
     coarse = np.exp(-1j * np.multiply.outer(lam, tau[::B]))
@@ -147,28 +129,26 @@ def _phase_table(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return table.reshape(lam.size, -1)[:, :tau.size]
 
 
-def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:
-    """Apply e^{-iHt} (t in units of 1/energy_unit; negative t runs the exact
-    inverse). No renormalization is applied."""
-    tau = t / prop.energy_unit
-    psi = state.amplitudes
+def _evolve_ket(prop: Propagator, psi: np.ndarray, tau: float) -> np.ndarray:
+    """e^{-i H tau} psi."""
     if prop.kind == "scaled_expm":
-        out = scipy.linalg.expm(-1j * prop.hamiltonian * tau) @ psi
-    else:
-        c = prop.inverse_eigenvectors @ psi
-        out = prop.eigenvectors @ (np.exp(-1j * prop.eigenvalues * tau) * c)
-    return StateVector(dim=state.dim, amplitudes=out, normalized=False)
+        return scipy.linalg.expm(-1j * prop.hamiltonian * tau) @ psi
+    V = prop.eigenvectors
+    return V @ (np.exp(-1j * prop.eigenvalues * tau) * (V.conj().T @ psi))
 
 
 def _evolve_bra(prop: Propagator, psi: np.ndarray, tau: float) -> np.ndarray:
     """e^{-i H^dag tau} psi; equals forward evolution for Hermitian H."""
-    if prop.kind == "hermitian_spectral":
-        c = prop.inverse_eigenvectors @ psi
-        return prop.eigenvectors @ (np.exp(-1j * prop.eigenvalues * tau) * c)
-    if prop.kind == "general_spectral":
-        c = prop.eigenvectors.conj().T @ psi
-        return prop.inverse_eigenvectors.conj().T @ (np.exp(-1j * np.conj(prop.eigenvalues) * tau) * c)
-    return scipy.linalg.expm(-1j * prop.hamiltonian.conj().T * tau) @ psi
+    if prop.kind == "scaled_expm":
+        return scipy.linalg.expm(-1j * prop.hamiltonian.conj().T * tau) @ psi
+    return _evolve_ket(prop, psi, tau)
+
+
+def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:
+    """Apply e^{-iHt} (t in units of 1/energy_unit; negative t runs the exact
+    inverse). No renormalization is applied."""
+    out = _evolve_ket(prop, state.amplitudes, t / prop.energy_unit)
+    return StateVector(dim=state.dim, amplitudes=out, normalized=False)
 
 
 def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
@@ -176,22 +156,18 @@ def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     """s(t) in three matrix-vector stages: evolve the ket, apply W, close with
     the (adjoint-evolved) bra."""
     tau = t / prop.energy_unit
-    if prop.kind == "scaled_expm":
-        f = scipy.linalg.expm(-1j * prop.hamiltonian * tau) @ psi0.amplitudes
-    else:
-        c = prop.inverse_eigenvectors @ psi0.amplitudes
-        f = prop.eigenvectors @ (np.exp(-1j * prop.eigenvalues * tau) * c)
+    f = _evolve_ket(prop, psi0.amplitudes, tau)
     g = _evolve_bra(prop, psi0.amplitudes, tau)
     return complex(np.vdot(g, W.entries @ f))
 
 
 def _diagonal_weights(prop, w, psi0, tau):
-    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 for a real diagonal W and Hermitian
-    H. A support of at most B rows is contracted block by block and never
-    forms the n x n_t phase table; a wider support is one matrix product
-    with the table, which is faster there than the block loop."""
+    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 for a diagonal W and Hermitian H. A
+    support of at most B rows is contracted block by block and never forms
+    the n x n_t phase table; a wider support is one matrix product with the
+    table, which is faster there than the block loop."""
     rows = np.nonzero(w)[0]
-    A = prop.eigenvectors[rows, :] * (prop.inverse_eigenvectors @ psi0)
+    A = prop.eigenvectors[rows, :] * (prop.eigenvectors.conj().T @ psi0)
     blocks = _phase_blocks(prop.eigenvalues, tau)
     if blocks is None or rows.size > blocks[1].shape[1]:
         U = A @ _phase_table(prop.eigenvalues, tau)
@@ -205,41 +181,37 @@ def _diagonal_weights(prop, w, psi0, tau):
 
 
 def _series_amplitudes_spectral(prop, W, psi0, tau):
-    lam = prop.eigenvalues
-    if prop.kind == "hermitian_spectral":
-        if W.is_diagonal:
-            return _diagonal_weights(prop, np.real(np.diagonal(W.entries)), psi0, tau)
-        phi = _phase_table(lam, tau) * (prop.inverse_eigenvectors @ psi0)[:, None]
-        Wt = prop.inverse_eigenvectors @ W.entries @ prop.eigenvectors
-        return np.einsum("kt,kt->t", np.conj(phi), Wt @ phi)
-    c = prop.inverse_eigenvectors @ psi0
-    d = prop.eigenvectors.conj().T @ psi0
-    M = prop.inverse_eigenvectors @ W.entries @ prop.eigenvectors
-    A = M @ (_phase_table(lam, tau) * c[:, None])
-    B = _phase_table(np.conj(lam), tau) * d[:, None]
-    return np.einsum("kt,kt->t", np.conj(B), A)
+    if W.is_diagonal:
+        return _diagonal_weights(prop, np.diagonal(W.entries), psi0, tau)
+    Vh = prop.eigenvectors.conj().T
+    phi = _phase_table(prop.eigenvalues, tau) * (Vh @ psi0)[:, None]
+    Wt = Vh @ W.entries @ prop.eigenvectors
+    return np.einsum("kt,kt->t", np.conj(phi), Wt @ phi)
 
 
 def _series_amplitudes_stepping(prop, W, psi0, tau):
-    if not _is_uniform(tau):
-        raise ValueError("exponential stepping needs a uniform time grid")
-    steps = np.diff(tau)
+    """Ket and bra stepped from t = 0 by matrix exponentials. One pair of
+    step factors serves every step within _GRID_RTOL*max|tau| of the step it
+    was made for, so a uniform grid from 0 takes one pair; a changed step
+    makes a new pair."""
     H = prop.hamiltonian
     f = psi0.astype(complex)
     g = psi0.astype(complex)
-    if tau[0] != 0.0:
-        f = scipy.linalg.expm(-1j * H * tau[0]) @ f
-        g = scipy.linalg.expm(-1j * H.conj().T * tau[0]) @ g
+    tol = _GRID_RTOL * np.abs(tau).max(initial=0.0)
     out = np.empty(tau.shape, dtype=complex)
-    if steps.size:
-        U = scipy.linalg.expm(-1j * H * steps[0])
-        Ub = scipy.linalg.expm(-1j * H.conj().T * steps[0])
-    Wm = W.entries
-    for k in range(tau.size):
-        out[k] = np.vdot(g, Wm @ f)
-        if k + 1 < tau.size:
+    h = None
+    prev = 0.0
+    for k, t in enumerate(tau):
+        step = t - prev
+        if step != 0.0:
+            if h is None or abs(step - h) > tol:
+                h = step
+                U = scipy.linalg.expm(-1j * H * h)
+                Ub = scipy.linalg.expm(-1j * H.conj().T * h)
             f = U @ f
             g = Ub @ g
+        out[k] = np.vdot(g, W.entries @ f)
+        prev = t
     return out
 
 
@@ -247,13 +219,13 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
                 grid: TimeGrid | None = None,
                 times: np.ndarray | None = None) -> OtocSeries:
     """O(t) on the whole grid, reusing a single decomposition. An explicit
-    times array overrides the uniform grid (exponential stepping still needs
-    uniform spacing).
+    times array, uniform or not, overrides the uniform grid.
 
-    On a uniform grid of n_t >= 4 samples the spectral forms evaluate
+    On a uniform grid of n_t >= 4 samples the spectral form evaluates
     2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
     the default 2001 samples, instead of n_t; other grids take n_t per
-    eigenvalue. general_spectral needs twice that, for lam and conj(lam)."""
+    eigenvalue. Stepping takes one pair of matrix exponentials per distinct
+    step."""
     if times is None:
         if grid is None:
             grid = TimeGrid()

@@ -148,8 +148,10 @@ def _sublattice_a_mask(layout: LatticeLayout) -> np.ndarray:
 
 
 def lowest_abs_eigenstate(H: HamiltonianMatrix,
-                          degeneracy_tol: float | None = None) -> StateVector:
-    """Eigenstate of smallest |energy|.
+                          degeneracy_tol: float | None = None,
+                          eigenpairs: tuple | None = None) -> StateVector:
+    """Eigenstate of smallest |energy|, from the given eigenpairs (lam, V) of
+    H or, without them, from a fresh eigh.
 
     When the two smallest-|energy| levels are within degeneracy_tol of each
     other (default 1e-8 * energy_unit), the returned state is the combination
@@ -161,7 +163,7 @@ def lowest_abs_eigenstate(H: HamiltonianMatrix,
         raise ConfigError("lowest_abs_eigenstate needs a Hermitian Hamiltonian")
     if degeneracy_tol is None:
         degeneracy_tol = 1e-8 * H.energy_unit
-    lam, V = np.linalg.eigh(H.entries)
+    lam, V = np.linalg.eigh(H.entries) if eigenpairs is None else eigenpairs
     order = np.lexsort((lam, np.abs(lam)))
     i0, i1 = order[0], order[1]
     if abs(lam[i0] - lam[i1]) <= degeneracy_tol:

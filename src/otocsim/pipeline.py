@@ -10,7 +10,7 @@ import numpy as np
 
 from . import lattice, operators
 from .config import ConfigError, fingerprint
-from .dynamics import (TimeGrid, long_time_limit, otoc_series,
+from .dynamics import (Propagator, TimeGrid, long_time_limit, otoc_series,
                        spectral_decompose, time_average)
 from .ensemble import draw_disorder
 from .analytic import extended_chain_hamiltonian
@@ -53,7 +53,10 @@ def build_hamiltonian(model: str, params: dict,
     raise ConfigError(f"unknown model {model!r}")
 
 
-def build_initial_state(H: HamiltonianMatrix, spec: dict) -> StateVector:
+def build_initial_state(H: HamiltonianMatrix, spec: dict,
+                        prop: Propagator | None = None) -> StateVector:
+    """The configured psi0; an eigenstate reuses the eigenpairs of prop when
+    it is given."""
     kind = spec["kind"]
     layout = H.layout
     if kind == "basis":
@@ -75,7 +78,9 @@ def build_initial_state(H: HamiltonianMatrix, spec: dict) -> StateVector:
         return operators.staggered_state(layout, int(spec["M"]),
                                          flavor=spec.get("flavor", "ssh_A"))
     if kind == "eigenstate":
-        state = operators.lowest_abs_eigenstate(H, spec.get("degeneracy_tol"))
+        eigenpairs = None if prop is None else (prop.eigenvalues, prop.eigenvectors)
+        state = operators.lowest_abs_eigenstate(H, spec.get("degeneracy_tol"),
+                                                eigenpairs)
         if spec.get("project_a", True):
             projected = operators.project_sublattice_a(layout, state)
             nrm = float(np.linalg.norm(projected.amplitudes))
@@ -152,7 +157,7 @@ def run_point(cfg: dict, observable: str = "full_series",
     disorder = _disorder_from_config(cfg, seed)
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
     prop = spectral_decompose(H)
-    psi0 = build_initial_state(H, cfg["initial_state"])
+    psi0 = build_initial_state(H, cfg["initial_state"], prop)
     W = build_w_operator(H, cfg["w_operator"])
     tg = cfg.get("time_grid", {})
     grid = TimeGrid(t_max=tg.get("t_max", 400.0), dt=tg.get("dt", 0.2))

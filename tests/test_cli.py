@@ -156,6 +156,18 @@ def test_unbounded_series_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_overflowing_hamiltonian_is_a_numerical_failure(tmp_path, capsys):
+    # nu + delta overflows to inf in the Hamiltonian
+    cfg = base_cfg(model="nonhermitian_ssh",
+                   params={"N": 20, "nu": 1e308, "delta": 1e308})
+    out = tmp_path / "run.csv"
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert "Hamiltonian entries are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_reports_threshold_crossings(tmp_path, capsys):
     cfg = base_cfg(sweep={"axis1": {"name": "nu", "values": [0.5, 1.0, 1.5]}})
     out = str(tmp_path / "sweep.csv")

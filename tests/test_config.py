@@ -163,6 +163,36 @@ def test_sweep_axis_validation():
     assert out["sweep"]["axis2"]["values"] == [0.0, 1.0]
     with pytest.raises(ConfigError, match="sweep.axis1"):
         validate_config(minimal(sweep={"axis1": {"name": "t"}}))
+    # each axis value gets the checks of its parameter
+    ssh2d = {"model": "ssh2d", "params": {"Nx": 4, "Ny": 4, "nu_p": 1.0, "w": 1.0},
+             "initial_state": {"kind": "site", "x": 1, "y": 1},
+             "w_operator": {"kind": "index_projector", "indices": [2]}}
+    chain = {"model": "extended_chain", "params": {"N": 10, "nu": 0.5},
+             "initial_state": {"kind": "index", "index": 0},
+             "w_operator": {"kind": "index_projector", "indices": [0]}}
+    cases = [
+        (minimal(sweep={"axis1": {"name": "N", "values": [4, 4.5, 4.9]}}),
+         r"sweep\.axis1\.values\[1\] must be an integer"),
+        (dict(ssh2d, sweep={"axis1": {"name": "Nx", "values": [4, 4.5]}}),
+         r"sweep\.axis1\.values\[1\] must be an integer"),
+        (dict(ssh2d, sweep={"axis1": {"name": "w", "values": [1, 0, -0.5]}}),
+         r"sweep\.axis1\.values\[1\] must be positive"),
+        (minimal(sweep={"axis1": {"name": "epsilon", "values": [1.0, -1.0]}}),
+         r"sweep\.axis1\.values\[1\] must be positive"),
+        (dict(chain, sweep={"axis1": {"name": "nu", "values": [0.5, 0.0]}}),
+         r"sweep\.axis1\.values\[1\] must be positive"),
+        (minimal(disorder={"d": 1.0, "seed": 2},
+                 sweep={"axis1": {"name": "nu", "values": [0.5]},
+                        "axis2": {"name": "d", "values": [0.5, -1]}}),
+         r"sweep\.axis2\.values\[1\] must be nonnegative"),
+    ]
+    for cfg, message in cases:
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+    out = validate_config(minimal(sweep={"axis1": {"name": "N", "values": [4, 6.0]}}))
+    assert out["sweep"]["axis1"]["values"] == [4.0, 6.0]
+    out = validate_config(minimal(sweep={"axis1": {"name": "nu", "values": [-0.5, 0.0]}}))
+    assert out["sweep"]["axis1"]["values"] == [-0.5, 0.0]
 
 
 def test_time_axis_is_always_allowed():

@@ -3,6 +3,7 @@ import pytest
 
 from otocsim import pipeline
 from otocsim.config import ConfigError
+from otocsim.dynamics import otoc_amplitude, spectral_decompose
 from otocsim.ensemble import ensemble_average
 from otocsim.pipeline import run_point
 from otocsim.sweep import (SweepAxis, SweepError, SweepResult,
@@ -103,6 +104,38 @@ def test_pure_time_axis_returns_series():
     assert res.grid.shape == (len(ts),)
     direct = run_point(chain_cfg(N=20), observable="full_series")
     np.testing.assert_allclose(res.grid, direct.values[:len(ts)], atol=1e-12)
+
+
+def test_nonuniform_time_axis_steps_the_nonhermitian_chain():
+    # the stepping path takes any time axis, recomputing its step factors
+    # whenever the step changes
+    ts = [0.0, 0.3, 1.0, 2.5, 2.7, 2.9, 7.0, 15.0]
+    cfg = chain_cfg(model="nonhermitian_ssh",
+                    params={"N": 60, "nu": 0.8, "delta": 0.4},
+                    sweep={"axis1": {"name": "t", "values": ts}})
+    res = sweep(cfg)
+    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"])
+    prop = spectral_decompose(H)
+    assert prop.kind == "scaled_expm"
+    psi = pipeline.build_initial_state(H, cfg["initial_state"])
+    W = pipeline.build_w_operator(H, cfg["w_operator"])
+    want = [abs(otoc_amplitude(prop, W, psi, t)) ** 2 for t in ts]
+    np.testing.assert_allclose(res.grid, want, rtol=0, atol=1e-10)
+
+
+def test_eigenstate_reuses_the_decomposition(monkeypatch):
+    calls = []
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    cfg = chain_cfg(N=20, initial_state={"kind": "eigenstate"},
+                    w_operator={"kind": "sublattice_projector", "sublattice": "A"})
+    run_point(cfg)
+    assert calls == [(40, 40)]
 
 
 def test_disorder_strength_axis_sets_both_scales():
