@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import HamiltonianMatrix, LatticeLayout
+from .lattice import HamiltonianMatrix, LatticeLayout, _tile
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,10 @@ def extended_chain_hamiltonian(N: int, nu: float, epsilon: float = 1.0) -> Hamil
     if N < 1:
         raise ValueError("N must be at least 1")
     dim = 2 * N + 1
-    H = np.zeros((dim, dim))
-    for j in range(dim - 1):
-        H[j, j + 1] = H[j + 1, j] = epsilon * (nu if j % 2 == 0 else 1.0)
     layout = LatticeLayout(kind="chain1d", cells_x=dim, cells_y=1,
                            sublattices=1, sublattice_names=("s",))
+    bonds = epsilon * np.where(np.arange(dim - 1) % 2 == 0, nu, 1.0)
+    H = _tile(layout, None, [((1, 0), bonds[:, None, None])])
     return HamiltonianMatrix(dim=dim, entries=H, hermitian=True, layout=layout,
                              energy_unit=epsilon)
 

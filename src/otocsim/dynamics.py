@@ -193,8 +193,9 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
     """Ket and bra stepped from t = 0 by matrix exponentials. One pair of
     step factors serves every step within _GRID_RTOL*max|tau| of the step it
     was made for, so a uniform grid from 0 takes one pair; a changed step
-    makes a new pair."""
+    makes a new pair. A diagonal W acts as its diagonal."""
     H = prop.hamiltonian
+    w = np.diagonal(W.entries) if W.is_diagonal else None
     f = psi0.astype(complex)
     g = psi0.astype(complex)
     tol = _GRID_RTOL * np.abs(tau).max(initial=0.0)
@@ -210,7 +211,7 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
                 Ub = scipy.linalg.expm(-1j * H.conj().T * h)
             f = U @ f
             g = Ub @ g
-        out[k] = np.vdot(g, W.entries @ f)
+        out[k] = np.vdot(g, W.entries @ f if w is None else w * f)
         prev = t
     return out
 

@@ -1,8 +1,13 @@
 """Real-space tight-binding Hamiltonians on finite lattices.
 
-All builders return dense matrices wrapped in :class:`HamiltonianMatrix`.
-Site indexing is row-major, cell-major with the sublattice index innermost:
-cell n (1-based) with sublattice s occupies row ``(n-1)*n_sub + s``.
+Every lattice matrix comes from one block tiler, ``_tile``: a builder only
+names its on-site block and one hopping block per cell offset, and the tiler
+adds them onto a zero matrix by vectorized indexing (so no entry is a
+negative zero). Builders return the dense matrix wrapped in
+:class:`HamiltonianMatrix`. Site indexing is row-major, cell-major with the
+sublattice index innermost: cell n (1-based) with sublattice s occupies row
+``(n-1)*n_sub + s``; :class:`LatticeLayout` and ``_tile`` are the only places
+that compute it.
 """
 
 from __future__ import annotations
@@ -151,6 +156,39 @@ class HamiltonianMatrix:
                 raise ValueError(f"hermitian flag set but residual {resid:.3e} exceeds tolerance")
 
 
+def _tile(layout: LatticeLayout, onsite, hops=()) -> np.ndarray:
+    """Dense matrix of the layout, its blocks added onto zeros.
+
+    onsite sits on every cell. Each ((dx, dy), T) in hops places T from cell
+    c to cell c + (dx, dy) (rows of c, columns of the neighbor) and T^dag
+    back, for every c whose neighbor lies inside the open patch; a chain
+    uses dy = 0. A block is one nb x nb matrix, or an array of them with one
+    per cell (onsite) or one per bond (hops, in the order of the cells c);
+    an onsite of None places nothing.
+    """
+    nb, ny = layout.sublattices, layout.cells_y
+    cells = np.arange(layout.n_cells)
+    cx, cy = np.divmod(cells, ny)
+    hops = [(offset, np.asarray(T)) for offset, T in hops]
+    blocks = [T for _, T in hops] + ([] if onsite is None else [np.asarray(onsite)])
+    H = np.zeros((layout.dim, layout.dim), dtype=np.result_type(*blocks))
+    sub = np.arange(nb)
+
+    def add(src, dst, B):
+        H[(nb * src)[:, None, None] + sub[:, None],
+          (nb * dst)[:, None, None] + sub] += B
+
+    if onsite is not None:
+        add(cells, cells, onsite)
+    for (dx, dy), T in hops:
+        src = cells[(0 <= cx + dx) & (cx + dx < layout.cells_x)
+                    & (0 <= cy + dy) & (cy + dy < ny)]
+        dst = src + dx * ny + dy
+        add(src, dst, T)
+        add(dst, src, np.swapaxes(T.conj(), -1, -2))
+    return H
+
+
 def _chain_layout(N: int) -> LatticeLayout:
     return LatticeLayout(kind="chain1d", cells_x=N, cells_y=1, sublattices=2)
 
@@ -175,15 +213,15 @@ def build_ssh(N: int, nu: float, eta: float = 0.0, epsilon: float = 1.0,
             raise LatticeError("disorder realization length does not match N")
         intra = intra + disorder.d2 * disorder.r_prime
         inter = inter + disorder.d1 * disorder.r
-    H = np.zeros((2 * N, 2 * N))
-    for n in range(N):
-        H[2 * n, 2 * n + 1] = H[2 * n + 1, 2 * n] = epsilon * intra[n]
-    for n in range(N - 1):
-        H[2 * n + 1, 2 * n + 2] = H[2 * n + 2, 2 * n + 1] = epsilon * inter[n]
-    for n in range(N - 2):
-        H[2 * n + 1, 2 * n + 4] = H[2 * n + 4, 2 * n + 1] = epsilon * eta
+    onsite = np.zeros((N, 2, 2))
+    onsite[:, 0, 1] = onsite[:, 1, 0] = epsilon * intra
+    hop = np.zeros((N - 1, 2, 2))
+    hop[:, 1, 0] = epsilon * inter
+    far = np.array([[0.0, 0.0], [epsilon * eta, 0.0]])
+    layout = _chain_layout(N)
+    H = _tile(layout, onsite, [((1, 0), hop), ((2, 0), far)])
     return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=True,
-                             layout=_chain_layout(N), energy_unit=epsilon)
+                             layout=layout, energy_unit=epsilon)
 
 
 def build_nonhermitian_ssh(N: int, nu: float, delta: float,
@@ -197,15 +235,12 @@ def build_nonhermitian_ssh(N: int, nu: float, delta: float,
         raise LatticeError("need at least N=2 cells")
     if epsilon <= 0:
         raise LatticeError("epsilon must be positive")
-    H = np.zeros((2 * N, 2 * N))
-    for n in range(N):
-        H[2 * n, 2 * n + 1] = epsilon * (nu + delta)
-        H[2 * n + 1, 2 * n] = epsilon * (nu - delta)
-    for n in range(N - 1):
-        H[2 * n + 1, 2 * n + 2] = H[2 * n + 2, 2 * n + 1] = epsilon
+    layout = _chain_layout(N)
+    onsite = np.array([[0.0, epsilon * (nu + delta)], [epsilon * (nu - delta), 0.0]])
+    H = _tile(layout, onsite, [((1, 0), np.array([[0.0, 0.0], [epsilon, 0.0]]))])
     hermitian = delta == 0.0
     return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=hermitian,
-                             layout=_chain_layout(N), energy_unit=epsilon)
+                             layout=layout, energy_unit=epsilon)
 
 
 # Directed intercell block of the two-leg ladder: eta0p * (sigma_1 - i sigma_3)/2
@@ -217,16 +252,11 @@ def build_creutz(N: int, eta0: float, eta0p: float) -> HamiltonianMatrix:
     """Two-leg ladder with rung coupling eta0 and flux-pi diagonal hopping eta0p."""
     if N < 2:
         raise LatticeError("need at least N=2 cells")
-    H = np.zeros((2 * N, 2 * N), dtype=complex)
-    for n in range(N):
-        H[2 * n:2 * n + 2, 2 * n:2 * n + 2] = eta0 * SIGMA_1
-    blk = eta0p * _CREUTZ_HOP
-    for n in range(N - 1):
-        H[2 * n:2 * n + 2, 2 * n + 2:2 * n + 4] = blk
-        H[2 * n + 2:2 * n + 4, 2 * n:2 * n + 2] = blk.conj().T
+    layout = _chain_layout(N)
+    H = _tile(layout, eta0 * SIGMA_1, [((1, 0), eta0p * _CREUTZ_HOP)])
     unit = eta0p if eta0p > 0 else 1.0
     return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=True,
-                             layout=_chain_layout(N), energy_unit=unit)
+                             layout=layout, energy_unit=unit)
 
 
 def build_haldane(Nx: int, Ny: int, eta1: float, eta2: float, phi: float,
@@ -237,38 +267,15 @@ def build_haldane(Nx: int, Ny: int, eta1: float, eta2: float, phi: float,
     if Nx < 2 or Ny < 2:
         raise LatticeError("need at least 2x2 cells")
     layout = LatticeLayout(kind="honeycomb2d", cells_x=Nx, cells_y=Ny, sublattices=2)
-    dim = layout.dim
-    H = np.zeros((dim, dim), dtype=complex)
-
-    def idx(m, n, s):
-        return (m * Ny + n) * 2 + s
-
-    amp_a = eta2 * np.exp(1j * phi)
-    amp_b = eta2 * np.exp(-1j * phi)
-    for m in range(Nx):
-        for n in range(Ny):
-            a, b = idx(m, n, 0), idx(m, n, 1)
-            H[a, a] += mu
-            H[b, b] -= mu
-            H[a, b] += eta1
-            H[b, a] += eta1
-            if m + 1 < Nx:
-                a2 = idx(m + 1, n, 0)
-                H[b, a2] += eta1
-                H[a2, b] += eta1
-            if n + 1 < Ny:
-                a3 = idx(m, n + 1, 0)
-                H[b, a3] += eta1
-                H[a3, b] += eta1
-            for dm, dn in ((1, 0), (-1, 1), (0, -1)):
-                m2, n2 = m + dm, n + dn
-                if 0 <= m2 < Nx and 0 <= n2 < Ny:
-                    for s, amp in ((0, amp_a), (1, amp_b)):
-                        i, j = idx(m, n, s), idx(m2, n2, s)
-                        H[j, i] += amp
-                        H[i, j] += np.conj(amp)
+    # second-neighbor amplitude from cell c to c + (0, 1) or c + (1, -1), per
+    # sublattice; the hop to c + (1, 0) carries its conjugate
+    amp = np.diag([eta2 * np.exp(1j * phi), eta2 * np.exp(-1j * phi)])
+    tx, ty = amp.conj(), amp.copy()
+    tx[1, 0] = ty[1, 0] = eta1       # (B, c) -> (A, c + x) and (A, c + y)
+    onsite = np.array([[mu, eta1], [eta1, -mu]], dtype=complex)
+    H = _tile(layout, onsite, [((1, 0), tx), ((0, 1), ty), ((1, -1), amp)])
     unit = eta1 if eta1 > 0 else 1.0
-    return HamiltonianMatrix(dim=dim, entries=H, hermitian=True,
+    return HamiltonianMatrix(dim=layout.dim, entries=H, hermitian=True,
                              layout=layout, energy_unit=unit)
 
 
@@ -287,8 +294,9 @@ def bloch_to_realspace(H0: np.ndarray, Tx: np.ndarray, Ty: np.ndarray,
                        sublattice_names: tuple | None = None,
                        energy_unit: float = 1.0) -> HamiltonianMatrix:
     """Tile intracell block H0 and hopping blocks Tx (+x direction) and
-    Ty (+y direction) over an Nx x Ny open-boundary patch. Nx=Ny=1 is allowed
-    and returns just H0."""
+    Ty (+y direction) over an Nx x Ny open-boundary patch: the public face of
+    the block tiler every builder uses. Nx=Ny=1 is allowed and returns just
+    H0; a None hopping block places nothing."""
     H0 = np.asarray(H0)
     nb = H0.shape[0]
     if H0.shape != (nb, nb):
@@ -303,24 +311,7 @@ def bloch_to_realspace(H0: np.ndarray, Tx: np.ndarray, Ty: np.ndarray,
         sublattice_names = tuple(str(i + 1) for i in range(nb))
     layout = LatticeLayout(kind=kind, cells_x=Nx, cells_y=Ny, sublattices=nb,
                            sublattice_names=sublattice_names)
-    dtype = np.result_type(H0, Tx, Ty)
-    H = np.zeros((layout.dim, layout.dim), dtype=dtype)
-
-    def base(ix, iy):
-        return (ix * Ny + iy) * nb
-
-    for ix in range(Nx):
-        for iy in range(Ny):
-            a = base(ix, iy)
-            H[a:a + nb, a:a + nb] += H0
-            if ix + 1 < Nx:
-                b = base(ix + 1, iy)
-                H[a:a + nb, b:b + nb] += Tx
-                H[b:b + nb, a:a + nb] += Tx.conj().T
-            if iy + 1 < Ny:
-                b = base(ix, iy + 1)
-                H[a:a + nb, b:b + nb] += Ty
-                H[b:b + nb, a:a + nb] += Ty.conj().T
+    H = _tile(layout, H0, [((1, 0), Tx), ((0, 1), Ty)])
     herm = (np.abs(H0 - H0.conj().T).max()
             <= _HERMITICITY_TOL * max(1.0, np.abs(H0).max()))
     return HamiltonianMatrix(dim=layout.dim, entries=H, hermitian=herm,
@@ -330,15 +321,12 @@ def bloch_to_realspace(H0: np.ndarray, Tx: np.ndarray, Ty: np.ndarray,
 def ssh2d_blocks(nu_p: float, w: float):
     """Intracell and hopping blocks of the four-site-cell dimerized square
     lattice with a pi flux through each plaquette (one flipped bond sign)."""
-    H0 = np.zeros((4, 4))
-    for i, j, s in ((0, 1, 1), (2, 3, 1), (0, 3, 1), (1, 2, -1)):
-        H0[i, j] = H0[j, i] = s * nu_p
-    Tx = np.zeros((4, 4))
-    Tx[0, 3] = w
-    Tx[1, 2] = -w
-    Ty = np.zeros((4, 4))
-    Ty[0, 1] = w
-    Ty[3, 2] = w
+    H0 = nu_p * np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, -1.0, 0.0],
+                          [0.0, -1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 0.0]])
+    Tx = w * np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    Ty = w * np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0],
+                       [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     return H0, Tx, Ty
 
 
@@ -399,10 +387,7 @@ def chiral_matrix(model: str, N: int) -> np.ndarray:
         blk = SIGMA_2
     else:
         raise LatticeError(f"no chiral operator defined for model {model!r}")
-    C = np.zeros((2 * N, 2 * N), dtype=complex)
-    for n in range(N):
-        C[2 * n:2 * n + 2, 2 * n:2 * n + 2] = blk
-    return C
+    return _tile(_chain_layout(N), blk)
 
 
 def symmetry_residual(H, C) -> float:

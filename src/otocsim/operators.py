@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import ConfigError
 from .lattice import (SIGMA_2, SIGMA_3, HamiltonianMatrix, LatticeError,
-                      LatticeLayout, chiral_matrix)
+                      LatticeLayout, _tile, chiral_matrix)
 
 _NORM_TOL = 1e-12
 
@@ -59,27 +59,29 @@ def as_operator(entries: np.ndarray, opnorm_bound: float | None = None) -> Opera
     return OperatorMatrix(dim=entries.shape[0], entries=entries, opnorm_bound=opnorm_bound)
 
 
+def _projector(dim: int, indices, what: str) -> OperatorMatrix:
+    """Diagonal projector onto the given rows; a repeated row is a config
+    error that names what the rows are."""
+    if len(set(indices)) != len(indices):
+        raise ConfigError(f"duplicate {what} in projector")
+    diag = np.zeros(dim)
+    diag[indices] = 1.0
+    return OperatorMatrix(dim=dim, entries=np.diag(diag), opnorm_bound=1.0)
+
+
 def site_projector(layout: LatticeLayout, sites) -> OperatorMatrix:
     """Projector onto the listed (cell, sublattice) sites. Duplicate or
     out-of-range sites are rejected."""
-    indices = []
-    for cell, subl in sites:
-        indices.append(layout.index_of(cell, subl))
-    if len(set(indices)) != len(indices):
-        raise ConfigError("duplicate sites in projector")
+    indices = [layout.index_of(cell, subl) for cell, subl in sites]
     if not indices:
         raise ConfigError("projector needs at least one site")
-    diag = np.zeros(layout.dim)
-    diag[indices] = 1.0
-    return OperatorMatrix(dim=layout.dim, entries=np.diag(diag), opnorm_bound=1.0)
+    return _projector(layout.dim, indices, "sites")
 
 
 def sublattice_projector(layout: LatticeLayout, sublattice) -> OperatorMatrix:
     """Projector onto every site of one sublattice, all cells."""
     s = layout.sublattice_index(sublattice)
-    diag = np.zeros(layout.dim)
-    diag[s::layout.sublattices] = 1.0
-    return OperatorMatrix(dim=layout.dim, entries=np.diag(diag), opnorm_bound=1.0)
+    return _projector(layout.dim, range(s, layout.dim, layout.sublattices), "sites")
 
 
 def chiral_partial(layout: LatticeLayout, j: int = 3) -> OperatorMatrix:
@@ -90,17 +92,11 @@ def chiral_partial(layout: LatticeLayout, j: int = 3) -> OperatorMatrix:
         raise LatticeError("chiral_partial applies to two-sublattice chains")
     if j not in (2, 3):
         raise ConfigError("j must be 2 or 3")
-    N = layout.cells_x
-    if j == 3:
-        diag = np.zeros(2 * N)
-        diag[0:2 * (N - 1):2] = 1.0
-        diag[1:2 * (N - 1):2] = -1.0
-        entries = np.diag(diag)
-    else:
-        entries = np.zeros((2 * N, 2 * N), dtype=complex)
-        for n in range(N - 1):
-            entries[2 * n:2 * n + 2, 2 * n:2 * n + 2] = SIGMA_2
-    return OperatorMatrix(dim=2 * N, entries=entries, opnorm_bound=1.0)
+    blk = SIGMA_3.real if j == 3 else SIGMA_2
+    onsite = np.zeros((layout.cells_x, 2, 2), dtype=blk.dtype)
+    onsite[:-1] = blk
+    return OperatorMatrix(dim=layout.dim, entries=_tile(layout, onsite),
+                          opnorm_bound=1.0)
 
 
 def chiral_operator(model: str, N: int) -> OperatorMatrix:
@@ -111,10 +107,14 @@ def chiral_operator(model: str, N: int) -> OperatorMatrix:
                           opnorm_bound=1.0)
 
 
+def _basis(dim: int, index: int) -> StateVector:
+    amp = np.zeros(dim, dtype=complex)
+    amp[index] = 1.0
+    return StateVector(dim=dim, amplitudes=amp, normalized=True)
+
+
 def basis_state(layout: LatticeLayout, cell, sublattice) -> StateVector:
-    amp = np.zeros(layout.dim, dtype=complex)
-    amp[layout.index_of(cell, sublattice)] = 1.0
-    return StateVector(dim=layout.dim, amplitudes=amp, normalized=True)
+    return _basis(layout.dim, layout.index_of(cell, sublattice))
 
 
 def staggered_state(layout: LatticeLayout, M: int, flavor: str = "ssh_A") -> StateVector:
@@ -128,14 +128,12 @@ def staggered_state(layout: LatticeLayout, M: int, flavor: str = "ssh_A") -> Sta
     if not 1 <= M <= layout.cells_x:
         raise ConfigError(f"M must lie in 1..{layout.cells_x}")
     amp = np.zeros(layout.dim, dtype=complex)
+    signs = (-1.0) ** np.arange(M)
     if flavor == "ssh_A":
-        for m in range(M):
-            amp[2 * m] = (-1.0) ** m / np.sqrt(M)
+        amp[0:2 * M:2] = signs / np.sqrt(M)
     elif flavor == "creutz_AB":
-        for m in range(M):
-            sign = (-1.0) ** m
-            amp[2 * m] = sign / np.sqrt(2 * M)
-            amp[2 * m + 1] = 1j * sign / np.sqrt(2 * M)
+        amp[0:2 * M:2] = signs / np.sqrt(2 * M)
+        amp[1:2 * M:2] = 1j * signs / np.sqrt(2 * M)
     else:
         raise ConfigError(f"unknown staggered flavor {flavor!r}")
     return StateVector(dim=layout.dim, amplitudes=amp, normalized=True)

@@ -65,15 +65,12 @@ def build_initial_state(H: HamiltonianMatrix, spec: dict,
             cell = tuple(cell)
         return operators.basis_state(layout, cell, spec.get("sublattice", "A"))
     if kind == "index":
-        amp = np.zeros(H.dim, dtype=complex)
-        amp[_check_index(int(spec["index"]), H.dim, "initial_state.index")] = 1.0
-        return StateVector(dim=H.dim, amplitudes=amp, normalized=True)
+        return operators._basis(H.dim, _check_index(int(spec["index"]), H.dim,
+                                                     "initial_state.index"))
     if kind == "site":
         # 1-based site coordinates of the four-component square lattice
-        idx = lattice.ssh2d_site_index(layout, int(spec["x"]), int(spec["y"]))
-        amp = np.zeros(H.dim, dtype=complex)
-        amp[idx] = 1.0
-        return StateVector(dim=H.dim, amplitudes=amp, normalized=True)
+        return operators._basis(H.dim, lattice.ssh2d_site_index(
+            layout, int(spec["x"]), int(spec["y"])))
     if kind == "staggered":
         return operators.staggered_state(layout, int(spec["M"]),
                                          flavor=spec.get("flavor", "ssh_A"))
@@ -109,11 +106,7 @@ def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
     if kind == "index_projector":
         indices = [_check_index(int(i), H.dim, f"w_operator.indices[{k}]")
                    for k, i in enumerate(spec["indices"])]
-        if len(set(indices)) != len(indices):
-            raise ConfigError("duplicate indices in projector")
-        diag = np.zeros(H.dim)
-        diag[indices] = 1.0
-        return OperatorMatrix(dim=H.dim, entries=np.diag(diag), opnorm_bound=1.0)
+        return operators._projector(H.dim, indices, "indices")
     if kind == "identity":
         return OperatorMatrix(dim=H.dim, entries=np.eye(H.dim), opnorm_bound=1.0)
     raise ConfigError(f"unknown operator kind {kind!r}")

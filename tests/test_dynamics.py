@@ -239,13 +239,19 @@ def test_tail_is_stable_under_grid_refinement():
     assert abs(tails[0] - tails[1]) < 1e-3
 
 
-def test_stepping_propagator_matches_spectral():
-    H = build_ssh(10, 0.7)
+@pytest.mark.parametrize("probe", ["site_projector", "dense_sigma_2"])
+def test_stepping_propagator_matches_spectral(probe):
+    if probe == "site_projector":
+        H = build_ssh(10, 0.7)
+        W = site_projector(H.layout, [[1, "A"]])
+    else:
+        H = build_creutz(10, 0.6, 1.0)
+        W = chiral_partial(H.layout, j=2)
+        assert not W.is_diagonal
     spectral = spectral_decompose(H)
     stepping = Propagator(kind="scaled_expm", dim=H.dim,
                           energy_unit=H.energy_unit, hamiltonian=H.entries)
     psi = basis_state(H.layout, 1, "A")
-    W = site_projector(H.layout, [[1, "A"]])
     grid = TimeGrid(t_max=20.0, dt=0.5)
     a = otoc_series(spectral, W, psi, grid=grid)
     b = otoc_series(stepping, W, psi, grid=grid)
