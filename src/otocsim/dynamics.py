@@ -18,6 +18,19 @@ from .operators import OperatorMatrix, StateVector
 
 _ORACLE_MAX_DIM = 64
 _GRID_RTOL = 1e-13
+# The Chebyshev series replaces dense eigh when
+# _CHEBYSHEV_COST * M * n_t * R < dim^3 (M terms, n_t samples, R support rows
+# of a diagonal W). Timed with one BLAS thread on ssh2d patches with a
+# one-row probe and 501 samples (M = 452), decomposition plus series cost
+# about 85 ns per term and sample by the series and 0.28 ns per dim^3 by
+# eigh at dim 400, where the two break even (C = 310). The break-even C is
+# 90-210 at dim 144-256 and 560-1350 at dim 576-1600, so 300 picks the
+# faster path at each size. A corner_scan point weighs 6.8e7 against
+# dim^3 = 4.1e9, a disorder_sweep member (dim 400, 2001 samples, M = 1674)
+# 1.0e9 against 6.4e7.
+_CHEBYSHEV_COST = 300
+_CHEBYSHEV_TOL = 1e-15      # bound on the dropped tail of each amplitude
+_BESSEL_RESCALE = 1e250
 
 
 class EigensolverError(RuntimeError):
@@ -48,8 +61,10 @@ class Propagator:
 
     kind is "hermitian_spectral" for Hermitian input, which keeps the
     eigenpairs, and "scaled_expm" for non-Hermitian input, which keeps the
-    Hamiltonian and evolves by matrix exponentials: the eigenbasis of a
-    non-Hermitian chain is too ill conditioned to trust.
+    dense Hamiltonian and evolves by matrix exponentials: the eigenbasis of a
+    non-Hermitian chain is too ill conditioned to trust. "chebyshev" keeps
+    H/scale as a sparse CSR matrix, with scale a Gershgorin bound of the
+    spectrum, and evolves by the Chebyshev series of e^{-iHt}.
     """
 
     kind: str
@@ -57,7 +72,8 @@ class Propagator:
     energy_unit: float
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
-    hamiltonian: np.ndarray | None = None
+    hamiltonian: object = None
+    scale: float | None = None
 
 
 @dataclass
@@ -80,15 +96,22 @@ class OtocSeries:
             raise ValueError("times and values must have matching shape")
 
 
-def spectral_decompose(H: HamiltonianMatrix) -> Propagator:
+def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
+                       times: np.ndarray | None = None) -> Propagator:
     """Diagonalize a Hermitian H; keep a non-Hermitian H for exponential
-    stepping."""
+    stepping. Given the probe W and the times it is sampled at, a Hermitian H
+    with a diagonal W takes the Chebyshev series instead where the cost rule
+    at _CHEBYSHEV_COST favours it."""
     if not H.hermitian:
         if not np.isfinite(H.entries).all():
             raise FloatingPointError("Hamiltonian entries are not finite")
         return Propagator(kind="scaled_expm", dim=H.dim,
                           energy_unit=H.energy_unit,
                           hamiltonian=np.asarray(H.entries))
+    if W is not None and times is not None:
+        prop = _chebyshev_propagator(H, W, np.asarray(times, dtype=float))
+        if prop is not None:
+            return prop
     try:
         lam, V = np.linalg.eigh(H.entries)
     except np.linalg.LinAlgError as exc:
@@ -96,6 +119,107 @@ def spectral_decompose(H: HamiltonianMatrix) -> Propagator:
     return Propagator(kind="hermitian_spectral", dim=H.dim,
                       energy_unit=H.energy_unit, eigenvalues=lam,
                       eigenvectors=V)
+
+
+def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
+                          times: np.ndarray):
+    """The Chebyshev propagator of a Hermitian H for the probe W, or None
+    where dense eigh is cheaper, W is not diagonal or H is not finite (eigh
+    reports that). The cheap tests come first, because most points that
+    stay dense fail them: the absolute sum of one bulk row bounds the
+    Gershgorin scale from below, and so M, before the whole matrix is
+    scanned."""
+    work = _CHEBYSHEV_COST * times.size * np.count_nonzero(np.diagonal(W.entries))
+    tau_max = np.abs(times).max(initial=0.0) / H.energy_unit
+    x_low = float(np.abs(H.entries[H.dim // 2]).sum()) * tau_max
+    if not np.isfinite(x_low) or work * _chebyshev_terms(x_low) >= H.dim ** 3:
+        return None
+    scale = float(np.abs(H.entries).sum(axis=1).max()) or 1.0
+    x_max = scale * tau_max
+    if (not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= H.dim ** 3
+            or not W.is_diagonal):
+        return None
+    import scipy.sparse  # only here: it stays out of the CLI's import time
+    # CSR from the flat nonzero positions, which come out row-major: about
+    # half the time scipy's own conversion of a dense matrix takes
+    flat = np.flatnonzero(H.entries)
+    rows, cols = np.divmod(flat, H.dim)
+    S = scipy.sparse.csr_array(
+        (H.entries.ravel()[flat] / scale, cols,
+         np.searchsorted(rows, np.arange(H.dim + 1))), shape=(H.dim, H.dim))
+    return Propagator(kind="chebyshev", dim=H.dim, energy_unit=H.energy_unit,
+                      hamiltonian=S, scale=scale)
+
+
+def _chebyshev_terms(x: float) -> int:
+    """The least M for which 2 b_M / (1 - q) < _CHEBYSHEV_TOL, where
+    b_n = (x/2)^n / n! bounds |J_n(x)| and q = (x/2) / (M + 1) bounds the
+    ratio of successive b_n from M on. Since |<r| T_n(H/a) |psi0>| <= 1 for a
+    unit psi0, dropping the orders from M on moves no amplitude by more than
+    the tolerance. The search starts at n = e x/2, below which
+    n! <= e sqrt(n) (n/e)^n keeps b_n above 1/(e sqrt(n)), far above the
+    tolerance."""
+    half = x / 2
+    if half == 0:
+        return 1
+    n = max(1, int(math.e * half))
+    log_tol = math.log(_CHEBYSHEV_TOL / 2)
+    while (n * math.log(half) - math.lgamma(n + 1) - math.log1p(-half / (n + 1))
+           >= log_tol):
+        n += 1
+    return n
+
+
+def _bessel_table(M: int, x: np.ndarray) -> np.ndarray:
+    """J_n(x) for n < M and x >= 0, as an M x n_x table, by Miller's backward
+    recurrence J_{n-1} = (2n/x) J_n - J_{n+1}, started at order
+    max(M, _chebyshev_terms(max x)) and normalized by J_0 + 2 sum_k J_2k = 1.
+    A column passing _BESSEL_RESCALE is scaled down together with its stored
+    orders. At x <= 1e-20 the table holds J_0 = 1 and zeros (off by < x/2)."""
+    J = np.zeros((M, x.size))
+    J[0] = 1.0
+    live = x > 1e-20
+    xs = x[live]
+    if xs.size == 0:
+        return J
+    out = np.zeros((M, xs.size))
+    nxt, cur, norm = np.zeros(xs.size), np.ones(xs.size), np.zeros(xs.size)
+    for n in range(max(M, _chebyshev_terms(xs.max())), 0, -1):
+        if n < M:
+            out[n] = cur
+        if n % 2 == 0:
+            norm += 2 * cur
+        nxt, cur = cur, (2 * n / xs) * cur - nxt
+        big = np.abs(cur) > _BESSEL_RESCALE
+        if big.any():
+            for v in (cur, nxt, norm):
+                v[big] /= _BESSEL_RESCALE
+            out[n:, big] /= _BESSEL_RESCALE
+    out[0] = cur
+    J[:, live] = out / (norm + cur)
+    return J
+
+
+def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
+    """<r| e^{-iH tau} |psi> for the given rows as an n_t x R array, and the
+    term count M: sum_{n<M} (2 - delta_n0) (-i)^n J_n(a tau) <r| T_n(H/a) |psi>,
+    with the moments from the three-term recurrence on the sparse H/a and
+    J_n(-x) = (-1)^n J_n(x) for negative tau."""
+    x = prop.scale * tau
+    M = _chebyshev_terms(np.abs(x).max(initial=0.0))
+    S = prop.hamiltonian
+    prev = psi.astype(complex)
+    moments = np.empty((M,) + prev[rows].shape, dtype=complex)
+    moments[0] = prev[rows]
+    cur = S @ prev
+    for n in range(1, M):
+        moments[n] = cur[rows]
+        prev, cur = cur, 2 * (S @ cur) - prev
+    J = _bessel_table(M, np.abs(x))
+    J[1::2, x < 0] *= -1
+    n = np.arange(M)
+    coef = np.where(n == 0, 1, 2) * np.array([1, -1j, -1, 1j])[n % 4]
+    return J.T @ (coef[:, None] * moments), M
 
 
 def _phase_blocks(lam: np.ndarray, tau: np.ndarray):
@@ -133,6 +257,9 @@ def _evolve_ket(prop: Propagator, psi: np.ndarray, tau: float) -> np.ndarray:
     """e^{-i H tau} psi."""
     if prop.kind == "scaled_expm":
         return scipy.linalg.expm(-1j * prop.hamiltonian * tau) @ psi
+    if prop.kind == "chebyshev":
+        amplitudes, _ = _chebyshev_amplitudes(prop, psi, slice(None), np.array([tau]))
+        return amplitudes[0]
     V = prop.eigenvectors
     return V @ (np.exp(-1j * prop.eigenvalues * tau) * (V.conj().T @ psi))
 
@@ -178,6 +305,17 @@ def _diagonal_weights(prop, w, psi0, tau):
             U[:, b, :] = (A * coarse[:, b]) @ fine
         U = U.reshape(rows.size, -1)[:, :tau.size]
     return (w[rows, None] * (np.abs(U) ** 2)).sum(axis=0).astype(complex)
+
+
+def _series_amplitudes_chebyshev(prop, W, psi0, tau):
+    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 over the support rows of a diagonal
+    W, and the Chebyshev term count."""
+    if not W.is_diagonal:
+        raise ValueError("the chebyshev propagator needs a diagonal probe")
+    w = np.diagonal(W.entries)
+    rows = np.nonzero(w)[0]
+    A, M = _chebyshev_amplitudes(prop, psi0, rows, tau)
+    return (np.abs(A) ** 2 @ w[rows]).astype(complex), M
 
 
 def _series_amplitudes_spectral(prop, W, psi0, tau):
@@ -226,7 +364,10 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
     the default 2001 samples, instead of n_t; other grids take n_t per
     eigenvalue. Stepping takes one pair of matrix exponentials per distinct
-    step."""
+    step. The Chebyshev series takes M sparse products for the moments, an
+    M x n_t Bessel table and an n_t x M by M x R product, with M about
+    e * a * max|t| / 2 + 30; on the corner_scan patch (M = 452, 501
+    samples) the sparse products take about 13 ms and the table 11 ms."""
     if times is None:
         if grid is None:
             grid = TimeGrid()
@@ -234,14 +375,18 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     else:
         times = np.asarray(times, dtype=float)
     tau = times / prop.energy_unit
+    metadata = {"propagator": prop.kind, "energy_unit": prop.energy_unit}
     if prop.kind == "scaled_expm":
         s = _series_amplitudes_stepping(prop, W, psi0.amplitudes, tau)
+    elif prop.kind == "chebyshev":
+        s, metadata["chebyshev_terms"] = _series_amplitudes_chebyshev(
+            prop, W, psi0.amplitudes, tau)
+        metadata["chebyshev_scale"] = prop.scale
     else:
         s = _series_amplitudes_spectral(prop, W, psi0.amplitudes, tau)
     values = np.abs(s) ** 2
     return OtocSeries(times=times, values=values, amplitudes=s,
-                      metadata={"propagator": prop.kind,
-                                "energy_unit": prop.energy_unit})
+                      metadata=metadata)
 
 
 def otoc_trace_oracle(H: HamiltonianMatrix, W: np.ndarray, rho0: np.ndarray,

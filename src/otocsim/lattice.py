@@ -150,8 +150,14 @@ class HamiltonianMatrix:
         if self.energy_unit <= 0:
             raise ValueError("energy_unit must be positive")
         if self.hermitian:
-            scale = max(1.0, np.abs(self.entries).max())
-            resid = np.abs(self.entries - self.entries.conj().T).max()
+            # one n x n scratch array: |H| for the scale, then |H - H^dag|
+            work = np.empty_like(self.entries)
+            np.abs(self.entries, out=work)
+            scale = max(1.0, work.real.max())
+            np.conjugate(self.entries.T, out=work)
+            np.subtract(self.entries, work, out=work)
+            np.abs(work, out=work)
+            resid = work.real.max()
             if resid > _HERMITICITY_TOL * scale:
                 raise ValueError(f"hermitian flag set but residual {resid:.3e} exceeds tolerance")
 

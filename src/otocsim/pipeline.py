@@ -130,14 +130,26 @@ def _check_index(index: int, dim: int, where: str) -> int:
     return index
 
 
-def _check_contracts(values: np.ndarray, bound: float) -> None:
-    """O(t) must be finite and at most the squared operator-norm bound of W."""
+def _check_contracts(series, W: OperatorMatrix, psi0: StateVector) -> None:
+    """O(t) must be finite, at most the squared operator-norm bound of W, and
+    equal to |<psi0|W|psi0>|^2 within 1e-12 wherever t = 0."""
+    values = series.values
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("O(t) is not finite")
     worst = float(values.max())
+    bound = W.opnorm_bound
     if worst > bound ** 2 * (1.0 + 1e-9):
         raise FloatingPointError(f"O(t) reaches {worst:.6g}, above the bound "
                                  f"opnorm_bound^2 = {bound ** 2:g}")
+    at_zero = series.times == 0
+    if at_zero.any():
+        k = np.flatnonzero(psi0.amplitudes)  # often one site: W only there
+        psi = psi0.amplitudes[k]
+        expected = abs(np.vdot(psi, W.entries[np.ix_(k, k)] @ psi)) ** 2
+        err = float(np.abs(values[at_zero] - expected).max())
+        if err > 1e-12:
+            raise FloatingPointError(f"O(0) differs from |<psi0|W|psi0>|^2 = "
+                                     f"{expected:.6g} by {err:.3e}")
 
 
 def run_point(cfg: dict, observable: str = "full_series",
@@ -145,17 +157,25 @@ def run_point(cfg: dict, observable: str = "full_series",
     """One pipeline pass: build, decompose once, evolve, check, reduce.
 
     O(t) is sampled on the config's time grid unless explicit times are
-    given. Returns an OtocSeries for "full_series", otherwise a float.
+    given. The decomposition sees the probe and the times, so it can pick the
+    Chebyshev series; an eigenstate psi0 needs the eigenpairs and always
+    takes dense eigh. Returns an OtocSeries for "full_series", otherwise a
+    float.
     """
     disorder = _disorder_from_config(cfg, seed)
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
-    prop = spectral_decompose(H)
-    psi0 = build_initial_state(H, cfg["initial_state"], prop)
     W = build_w_operator(H, cfg["w_operator"])
-    tg = cfg.get("time_grid", {})
-    grid = TimeGrid(t_max=tg.get("t_max", 400.0), dt=tg.get("dt", 0.2))
-    series = otoc_series(prop, W, psi0, grid, times=times)
-    _check_contracts(series.values, W.opnorm_bound)
+    if times is None:
+        tg = cfg.get("time_grid", {})
+        times = TimeGrid(t_max=tg.get("t_max", 400.0), dt=tg.get("dt", 0.2)).times()
+    state = cfg["initial_state"]
+    if state["kind"] == "eigenstate":
+        prop = spectral_decompose(H)
+    else:
+        prop = spectral_decompose(H, W, times)
+    psi0 = build_initial_state(H, state, prop)
+    series = otoc_series(prop, W, psi0, times=times)
+    _check_contracts(series, W, psi0)
     series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg))
     if observable == "full_series":
         return series

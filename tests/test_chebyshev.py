@@ -1,0 +1,167 @@
+"""The Chebyshev propagator: its Bessel table, its agreement with dense
+eigh, and the cost rule that picks it inside run_point."""
+
+import numpy as np
+import pytest
+import scipy.special
+
+from otocsim import analytic, dynamics, pipeline
+from otocsim.dynamics import evolve, otoc_series, spectral_decompose
+from otocsim.lattice import build_creutz, build_haldane, build_qwz, build_ssh, build_ssh2d
+from otocsim.operators import (OperatorMatrix, StateVector, basis_state,
+                               site_projector, staggered_state)
+
+
+@pytest.fixture
+def always_chebyshev(monkeypatch):
+    """A zero cost constant makes the rule pick the series at any size."""
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0)
+
+
+def test_bessel_table_matches_scipy():
+    x = np.concatenate([[0.0, 1e-25, 1e-12, 1e-5, 0.3], np.linspace(0.0, 1e3, 2001)])
+    M = dynamics._chebyshev_terms(x.max())
+    want = scipy.special.jv(np.arange(M)[:, None], x[None, :])
+    got = dynamics._bessel_table(M, x)
+    assert got.shape == (M, x.size)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.6, 31.0, 310.0, 1000.0])
+def test_term_count_bounds_the_dropped_tail(x):
+    M = dynamics._chebyshev_terms(x)
+    tail = 2 * np.abs(scipy.special.jv(np.arange(M, M + 200), x)).sum()
+    assert tail < dynamics._CHEBYSHEV_TOL
+    assert M <= 1.4 * x + 40      # the bound is loose, but not by much
+
+
+def probe(dim, rows, weights=None):
+    w = np.zeros(dim)
+    w[rows] = 1.0 if weights is None else weights
+    return OperatorMatrix(dim=dim, entries=np.diag(w), opnorm_bound=1.0)
+
+
+LATTICES = {
+    "ssh2d": lambda: build_ssh2d(4, 3, 0.7, 1.0),
+    "haldane": lambda: build_haldane(4, 3, 1.0, 0.3, np.pi / 3, 0.2),
+    "qwz": lambda: build_qwz(4, 4, 1.0, 1.2),
+}
+TIMES = {
+    "uniform": np.arange(501) * 0.2,
+    "nonuniform": np.array([0.0, 0.05, 0.3, 1.7, 2.0, 9.5, 40.0, 41.3]),
+    "negative": np.array([-30.0, -7.5, -0.2, 0.0, 0.4, 12.0]),
+    "zero_only": np.array([0.0]),
+}
+
+
+@pytest.mark.parametrize("times", sorted(TIMES))
+@pytest.mark.parametrize("model", sorted(LATTICES))
+def test_series_matches_dense(always_chebyshev, model, times):
+    H = LATTICES[model]()
+    t = TIMES[times]
+    amplitudes = np.zeros(H.dim, dtype=complex)
+    amplitudes[[0, 5]] = [0.6, 0.8j]
+    psi = StateVector(dim=H.dim, amplitudes=amplitudes)
+    W = probe(H.dim, [1, 2, 7], [1.0, 0.5, 0.25])      # three rows
+    prop = spectral_decompose(H, W, t)
+    assert prop.kind == "chebyshev"
+    got = otoc_series(prop, W, psi, times=t)
+    want = otoc_series(spectral_decompose(H), W, psi, times=t)
+    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+    assert np.abs(got.values - want.values).max() <= 1e-12
+    assert got.metadata["propagator"] == "chebyshev"
+    assert got.metadata["chebyshev_scale"] == prop.scale
+    assert got.metadata["chebyshev_terms"] == dynamics._chebyshev_terms(
+        prop.scale * np.abs(t).max() / H.energy_unit)
+
+
+@pytest.mark.parametrize("H, flavor", [(build_ssh(12, 0.6), "ssh_A"),
+                                       (build_creutz(12, 1.0, 0.5), "creutz_AB")])
+def test_staggered_state_matches_dense(always_chebyshev, H, flavor):
+    psi = staggered_state(H.layout, 3, flavor=flavor)
+    W = site_projector(H.layout, [[1, "A"]])
+    t = TIMES["uniform"]
+    got = otoc_series(spectral_decompose(H, W, t), W, psi, times=t)
+    want = otoc_series(spectral_decompose(H), W, psi, times=t)
+    assert got.metadata["propagator"] == "chebyshev"
+    assert np.abs(got.values - want.values).max() <= 1e-12
+
+
+def test_evolve_matches_dense(always_chebyshev):
+    H = LATTICES["haldane"]()
+    W = probe(H.dim, [0])
+    cheb = spectral_decompose(H, W, np.array([0.0, 50.0]))
+    dense = spectral_decompose(H)
+    psi = basis_state(H.layout, (1, 1), "A")
+    for t in (-13.0, 0.0, 0.7, 50.0):
+        a = evolve(cheb, psi, t).amplitudes
+        b = evolve(dense, psi, t).amplitudes
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_series_matches_the_closed_form(always_chebyshev):
+    # the `otocsim validate` point, evaluated by the series
+    system = analytic.analytic_eigenpairs(200, 0.5, 1.0)
+    point = {"model": "extended_chain", "params": {"N": 200, "nu": 0.5},
+             "initial_state": {"kind": "index", "index": 0},
+             "w_operator": {"kind": "index_projector", "indices": [0]},
+             "time_grid": {"t_max": 400.0, "dt": 0.2}}
+    series = pipeline.run_point(point)
+    assert series.metadata["propagator"] == "chebyshev"
+    closed = analytic.otoc_site_closed_form(system, series.times, L=1, M=1)
+    assert np.abs(series.values - closed).max() <= 1e-10
+
+
+def test_chebyshev_needs_a_diagonal_probe(always_chebyshev):
+    H = build_ssh(6, 0.6)
+    prop = spectral_decompose(H, probe(H.dim, [0]), np.array([1.0]))
+    W = OperatorMatrix(dim=H.dim, entries=np.ones((H.dim, H.dim)) / H.dim,
+                       opnorm_bound=1.0)
+    with pytest.raises(ValueError, match="diagonal probe"):
+        otoc_series(prop, W, basis_state(H.layout, 1, "A"), times=np.array([1.0]))
+
+
+def corner_config():
+    return {"model": "ssh2d", "params": {"Nx": 20, "Ny": 20, "nu_p": 0.55, "w": 1.0},
+            "initial_state": {"kind": "site", "x": 1, "y": 1},
+            "w_operator": {"kind": "index_projector", "indices": [2]},
+            "time_grid": {"t_max": 100.0, "dt": 0.2}}
+
+
+def disorder_member_config():
+    return {"model": "ssh", "params": {"N": 200, "nu": 0.6},
+            "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
+            "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
+            "time_grid": {"t_max": 400.0, "dt": 0.2},
+            "disorder": {"d1": 1.0, "d2": 2.0, "seed": 2000}}
+
+
+def kind_of(cfg):
+    return pipeline.run_point(cfg).metadata["propagator"]
+
+
+def test_cost_rule_picks_the_series_for_the_corner_probe():
+    assert kind_of(corner_config()) == "chebyshev"
+
+
+def test_cost_rule_keeps_dense_eigh_for_a_disorder_member():
+    assert kind_of(disorder_member_config()) == "hermitian_spectral"
+
+
+@pytest.mark.parametrize("case", ["eigenstate", "chiral_partial", "nonhermitian"])
+def test_paths_the_series_never_takes(always_chebyshev, case):
+    cfg = {"model": "ssh", "params": {"N": 20, "nu": 0.6},
+           "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
+           "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
+           "time_grid": {"t_max": 20.0, "dt": 0.2}}
+    want = "hermitian_spectral"
+    if case == "eigenstate":
+        cfg["initial_state"] = {"kind": "eigenstate"}
+    elif case == "chiral_partial":
+        cfg.update(model="creutz", params={"N": 20, "eta0": 1.0, "eta0p": 0.5},
+                   w_operator={"kind": "chiral_partial", "j": 2})
+    else:
+        cfg.update(model="nonhermitian_ssh", params={"N": 20, "nu": 1.2, "delta": 0.4})
+        want = "scaled_expm"
+    assert kind_of(cfg) == want
+    assert spectral_decompose(build_ssh(20, 0.6)).kind == "hermitian_spectral"

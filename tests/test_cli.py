@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otocsim import pipeline
 from otocsim.cli import main
 from otocsim.config import fingerprint, validate_config
 from otocsim.fileio import read_dense_matrix, read_series_csv
@@ -153,6 +154,34 @@ def test_unbounded_series_is_a_numerical_failure(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 1
     assert "opnorm_bound" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_time_value_is_the_probe_expectation():
+    # a staggered M=3 state sees 1/3 of its weight on the probed site
+    cfg = base_cfg(initial_state={"kind": "staggered", "M": 3})
+    series = run_point(validate_config(cfg))
+    assert series.values[0] == pytest.approx(1 / 9, abs=1e-12)
+
+
+def test_wrong_zero_time_value_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    original = pipeline.otoc_series
+
+    def off_at_zero(*args, **kwargs):
+        series = original(*args, **kwargs)
+        series.values[0] -= 1e-9       # still within the operator-norm bound
+        return series
+
+    monkeypatch.setattr(pipeline, "otoc_series", off_at_zero)
+    with pytest.raises(FloatingPointError, match="O\\(0\\)"):
+        run_point(validate_config(base_cfg()))
+    # without t = 0 among the times there is nothing to compare
+    run_point(validate_config(base_cfg()), times=np.array([0.5, 1.0]))
+    out = tmp_path / "run.csv"
+    code = main(["otoc", "--config", write_cfg(tmp_path, base_cfg()),
+                 "--out", str(out)])
+    assert code == 1
+    assert "O(0) differs" in capsys.readouterr().err
     assert not out.exists()
 
 

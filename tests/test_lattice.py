@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from otocsim.lattice import (LatticeError, LatticeLayout, bloch_hamiltonian,
+from otocsim.lattice import (HamiltonianMatrix, LatticeError, LatticeLayout,
+                             bloch_hamiltonian,
                              bloch_to_realspace, build_creutz, build_haldane,
                              build_nonhermitian_ssh, build_qwz, build_ssh,
                              build_ssh2d, chiral_matrix, ssh2d_blocks,
@@ -277,3 +278,17 @@ def test_layout_round_trip():
         assert layout.index_of(cell, s) == idx
     with pytest.raises(LatticeError):
         layout.index_of((4, 1), 0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_hermitian_flag_is_checked(dtype):
+    entries = build_ssh(6, 0.7).entries.astype(dtype)
+    if dtype is complex:
+        entries[0, 1] += 0.25j
+        entries[1, 0] -= 0.25j
+    layout = build_ssh(6, 0.7).layout
+    HamiltonianMatrix(dim=12, entries=entries, hermitian=True, layout=layout)
+    entries[3, 4] += 1e-9
+    with pytest.raises(ValueError, match="hermitian flag set but residual 1.000e-09"):
+        HamiltonianMatrix(dim=12, entries=entries, hermitian=True, layout=layout)
+    HamiltonianMatrix(dim=12, entries=entries, hermitian=False, layout=layout)

@@ -25,9 +25,9 @@ def count_decompositions(monkeypatch) -> list:
     calls = []
     original = pipeline.spectral_decompose
 
-    def counted(H):
+    def counted(H, *args, **kwargs):
         calls.append(H.dim)
-        return original(H)
+        return original(H, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "spectral_decompose", counted)
     return calls
