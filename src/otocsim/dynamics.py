@@ -18,23 +18,30 @@ from .operators import OperatorMatrix, StateVector
 
 _ORACLE_MAX_DIM = 64
 _GRID_RTOL = 1e-13
-# The Chebyshev series replaces dense eigh when
-# _CHEBYSHEV_COST * M * n_t * R < dim^3 (M terms, n_t samples, R support rows
-# of a diagonal W). Timed with one BLAS thread on ssh2d patches with a
-# one-row probe and 501 samples (M = 452), decomposition plus series cost
-# about 85 ns per term and sample by the series and 0.28 ns per dim^3 by
+# The Chebyshev series replaces eigh when _CHEBYSHEV_COST * M * n_t * R is
+# below the price of eigh: dim^3 for dense eigh, _TRIDIAGONAL_COST * dim^2
+# for the tridiagonal solver (M terms, n_t samples, R support rows of a
+# diagonal W). Timed with one BLAS thread on ssh2d patches with a one-row
+# probe and 501 samples (M = 452), decomposition plus series cost about
+# 85 ns per term and sample by the series and 0.28 ns per dim^3 by dense
 # eigh at dim 400, where the two break even (C = 310). The break-even C is
 # 90-210 at dim 144-256 and 560-1350 at dim 576-1600, so 300 picks the
-# faster path at each size. A corner_scan point weighs 6.8e7 against
+# faster path at each size. On clean ssh chains with a site probe the
+# tridiagonal solver plus its series takes 11, 74, 216 and 369 ms at dim
+# 400, 1000, 1600 and 2000 (70-90 ns, or 250-330 of the dense units, per
+# dim^2), against 77, 129, 176 and 192 ms for the series with 2001 samples
+# (M = 847): the break-even lies between dim 1000 and 1600, and 300 per
+# dim^2 puts it at dim 1300. A corner_scan point weighs 6.8e7 against
 # dim^3 = 4.1e9, a disorder_sweep member (dim 400, 2001 samples, M = 1674)
-# 1.0e9 against 6.4e7.
+# 1.0e9 against 300 * dim^2 = 4.8e7.
 _CHEBYSHEV_COST = 300
+_TRIDIAGONAL_COST = 300
 _CHEBYSHEV_TOL = 1e-15      # bound on the dropped tail of each amplitude
 _BESSEL_RESCALE = 1e250
 
 
 class EigensolverError(RuntimeError):
-    """Dense eigensolver failed to converge."""
+    """Hermitian eigensolver failed to converge."""
 
 
 @dataclass
@@ -60,11 +67,13 @@ class Propagator:
     """Diagonalized (or exponential-stepping) form of a Hamiltonian.
 
     kind is "hermitian_spectral" for Hermitian input, which keeps the
-    eigenpairs, and "scaled_expm" for non-Hermitian input, which keeps the
-    dense Hamiltonian and evolves by matrix exponentials: the eigenbasis of a
-    non-Hermitian chain is too ill conditioned to trust. "chebyshev" keeps
-    H/scale as a sparse CSR matrix, with scale a Gershgorin bound of the
-    spectrum, and evolves by the Chebyshev series of e^{-iHt}.
+    eigenpairs and names the solver that made them in eigensolver:
+    "tridiagonal" for a real tridiagonal H, "dense" otherwise. "scaled_expm"
+    is for non-Hermitian input; it keeps the dense Hamiltonian and evolves by
+    matrix exponentials: the eigenbasis of a non-Hermitian chain is too ill
+    conditioned to trust. "chebyshev" keeps H/scale as a sparse CSR matrix,
+    with scale a Gershgorin bound of the spectrum, and evolves by the
+    Chebyshev series of e^{-iHt}.
     """
 
     kind: str
@@ -74,6 +83,7 @@ class Propagator:
     eigenvectors: np.ndarray | None = None
     hamiltonian: object = None
     scale: float | None = None
+    eigensolver: str | None = None
 
 
 @dataclass
@@ -99,44 +109,83 @@ class OtocSeries:
 def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
                        times: np.ndarray | None = None) -> Propagator:
     """Diagonalize a Hermitian H; keep a non-Hermitian H for exponential
-    stepping. Given the probe W and the times it is sampled at, a Hermitian H
-    with a diagonal W takes the Chebyshev series instead where the cost rule
-    at _CHEBYSHEV_COST favours it."""
+    stepping. A real H with no entries off its three central diagonals (the
+    ssh chain without third-neighbor hops, extended_chain) goes to the
+    tridiagonal divide-and-conquer solver (LAPACK ?stevd), any other
+    Hermitian H to dense eigh. On a tridiagonal H dense eigh runs the same
+    divide and conquer after a reduction that leaves H as it is (the
+    eigenpairs agree bit for bit with OpenBLAS 0.3.31); ?stevd skips that
+    O(dim^3) reduction and is 3x faster at dim 400, 15x at dim 2000. MRRR
+    (?stemr) is slower here: 19 ms against 6 ms at dim 400.
+
+    Given the probe W and the times it is sampled at, a Hermitian H with a
+    diagonal W takes the Chebyshev series instead where the cost rule at
+    _CHEBYSHEV_COST favours it."""
     if not H.hermitian:
         if not np.isfinite(H.entries).all():
             raise FloatingPointError("Hamiltonian entries are not finite")
         return Propagator(kind="scaled_expm", dim=H.dim,
                           energy_unit=H.energy_unit,
                           hamiltonian=np.asarray(H.entries))
+    band = _tridiagonal_band(H)
     if W is not None and times is not None:
-        prop = _chebyshev_propagator(H, W, np.asarray(times, dtype=float))
+        prop = _chebyshev_propagator(H, W, np.asarray(times, dtype=float),
+                                     band is not None)
         if prop is not None:
             return prop
+    if band is not None and not all(np.isfinite(b).all() for b in band):
+        raise FloatingPointError("Hamiltonian entries are not finite")
     try:
-        lam, V = np.linalg.eigh(H.entries)
+        if band is None:
+            lam, V = np.linalg.eigh(H.entries)
+        else:
+            lam, V = scipy.linalg.eigh_tridiagonal(*band, check_finite=False,
+                                                   lapack_driver="stevd")
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
     return Propagator(kind="hermitian_spectral", dim=H.dim,
                       energy_unit=H.energy_unit, eigenvalues=lam,
-                      eigenvectors=V)
+                      eigenvectors=V,
+                      eigensolver="dense" if band is None else "tridiagonal")
+
+
+def _tridiagonal_band(H: HamiltonianMatrix):
+    """The diagonal and first subdiagonal of a real H that has no nonzero
+    entry outside them, else None. The middle row is tested first, so most
+    other matrices are turned away after one row. Non-finite entries count
+    as nonzero."""
+    A = H.entries
+    if np.iscomplexobj(A):
+        return None
+    mid = H.dim // 2
+    row = A[mid]
+    if np.count_nonzero(row) != np.count_nonzero(row[max(mid - 1, 0):mid + 2]):
+        return None
+    d, e = np.diagonal(A), np.diagonal(A, -1)
+    if (np.count_nonzero(A) != np.count_nonzero(d) + np.count_nonzero(e)
+            + np.count_nonzero(np.diagonal(A, 1))):
+        return None
+    return d, e
 
 
 def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
-                          times: np.ndarray):
+                          times: np.ndarray, tridiagonal: bool):
     """The Chebyshev propagator of a Hermitian H for the probe W, or None
-    where dense eigh is cheaper, W is not diagonal or H is not finite (eigh
-    reports that). The cheap tests come first, because most points that
-    stay dense fail them: the absolute sum of one bulk row bounds the
-    Gershgorin scale from below, and so M, before the whole matrix is
-    scanned."""
+    where eigh is cheaper, W is not diagonal or H is not finite (the eigh
+    branch reports that). eigh is priced at dim^3, or _TRIDIAGONAL_COST *
+    dim^2 for a tridiagonal H. The cheap tests come first, because most
+    points that stay on eigh fail them: the absolute sum of one bulk row
+    bounds the Gershgorin scale from below, and so M, before the whole
+    matrix is scanned."""
     work = _CHEBYSHEV_COST * times.size * np.count_nonzero(np.diagonal(W.entries))
+    eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
     tau_max = np.abs(times).max(initial=0.0) / H.energy_unit
     x_low = float(np.abs(H.entries[H.dim // 2]).sum()) * tau_max
-    if not np.isfinite(x_low) or work * _chebyshev_terms(x_low) >= H.dim ** 3:
+    if not np.isfinite(x_low) or work * _chebyshev_terms(x_low) >= eigh_cost:
         return None
     scale = float(np.abs(H.entries).sum(axis=1).max()) or 1.0
     x_max = scale * tau_max
-    if (not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= H.dim ** 3
+    if (not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= eigh_cost
             or not W.is_diagonal):
         return None
     import scipy.sparse  # only here: it stays out of the CLI's import time
@@ -384,6 +433,7 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
         metadata["chebyshev_scale"] = prop.scale
     else:
         s = _series_amplitudes_spectral(prop, W, psi0.amplitudes, tau)
+        metadata["eigensolver"] = prop.eigensolver
     values = np.abs(s) ** 2
     return OtocSeries(times=times, values=values, amplitudes=s,
                       metadata=metadata)

@@ -159,7 +159,7 @@ def run_point(cfg: dict, observable: str = "full_series",
     O(t) is sampled on the config's time grid unless explicit times are
     given. The decomposition sees the probe and the times, so it can pick the
     Chebyshev series; an eigenstate psi0 needs the eigenpairs and always
-    takes dense eigh. Returns an OtocSeries for "full_series", otherwise a
+    takes eigh. Returns an OtocSeries for "full_series", otherwise a
     float.
     """
     disorder = _disorder_from_config(cfg, seed)

@@ -144,8 +144,33 @@ def test_cost_rule_picks_the_series_for_the_corner_probe():
     assert kind_of(corner_config()) == "chebyshev"
 
 
-def test_cost_rule_keeps_dense_eigh_for_a_disorder_member():
-    assert kind_of(disorder_member_config()) == "hermitian_spectral"
+def test_cost_rule_keeps_eigh_for_a_disorder_member():
+    series = pipeline.run_point(disorder_member_config())
+    assert series.metadata["propagator"] == "hermitian_spectral"
+    assert series.metadata["eigensolver"] == "tridiagonal"
+
+
+def clean_chain_config(N):
+    return {"model": "ssh", "params": {"N": N, "nu": 0.5},
+            "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
+            "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
+            "time_grid": {"t_max": 400.0, "dt": 0.2}}
+
+
+def test_cost_rule_prices_a_chain_by_the_tridiagonal_solver():
+    # a dim-1000 chain weighs 5.1e8 against dim^3 = 1e9, which would pick the
+    # series, but against 300 * dim^2 = 3e8 for the tridiagonal solver
+    series = pipeline.run_point(clean_chain_config(500))
+    assert series.metadata["propagator"] == "hermitian_spectral"
+    assert series.metadata["eigensolver"] == "tridiagonal"
+
+
+def test_cost_rule_picks_the_series_for_a_long_chain():
+    cfg = clean_chain_config(2000)                       # dim 4000
+    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"])
+    W = pipeline.build_w_operator(H, cfg["w_operator"])
+    times = dynamics.TimeGrid(t_max=400.0, dt=0.2).times()
+    assert spectral_decompose(H, W, times).kind == "chebyshev"
 
 
 @pytest.mark.parametrize("case", ["eigenstate", "chiral_partial", "nonhermitian"])

@@ -197,6 +197,22 @@ def test_overflowing_hamiltonian_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eta, message", [
+    (0.0, "Hamiltonian entries are not finite"),      # tridiagonal chain
+    (0.3, "O(t) is not finite"),                       # dense eigh
+])
+def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys, eta, message):
+    # epsilon * nu overflows to inf; the Hermiticity residual is then NaN,
+    # which no tolerance comparison catches
+    cfg = base_cfg(params={"N": 20, "nu": 1e308, "epsilon": 10.0, "eta": eta})
+    out = tmp_path / "run.csv"
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_reports_threshold_crossings(tmp_path, capsys):
     cfg = base_cfg(sweep={"axis1": {"name": "nu", "values": [0.5, 1.0, 1.5]}})
     out = str(tmp_path / "sweep.csv")

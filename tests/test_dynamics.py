@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from otocsim import dynamics
+from otocsim import dynamics, pipeline
 from otocsim.dynamics import (EigensolverError, OtocSeries, Propagator,
                               TimeGrid, evolve, long_time_limit,
                               otoc_amplitude, otoc_series, otoc_trace_oracle,
                               spectral_decompose, time_average)
 from otocsim.lattice import (HamiltonianMatrix, LatticeLayout, build_creutz,
-                             build_nonhermitian_ssh, build_ssh)
+                             build_haldane, build_nonhermitian_ssh, build_ssh,
+                             build_ssh2d)
 from otocsim.operators import (OperatorMatrix, StateVector, as_operator,
                                basis_state,
                                chiral_partial, lowest_abs_eigenstate,
@@ -377,3 +378,77 @@ def test_complex_diagonal_probe_keeps_its_imaginary_part():
     want = pointwise_amplitudes(prop, W, psi, times)
     assert np.abs(series.amplitudes - want).max() <= 1e-12
     assert series.values[0] == pytest.approx(1.0)
+
+
+def dense_propagator(H):
+    lam, V = np.linalg.eigh(H.entries)
+    return Propagator(kind="hermitian_spectral", dim=H.dim,
+                      energy_unit=H.energy_unit, eigenvalues=lam,
+                      eigenvectors=V, eigensolver="dense")
+
+
+DISORDER_MEMBER = {
+    "model": "ssh", "params": {"N": 200, "nu": 0.6},
+    "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
+    "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
+    "time_grid": {"t_max": 400.0, "dt": 0.2},
+    "disorder": {"d1": 1.0, "d2": 2.0, "seed": 2000}}
+EXTENDED_CHAIN = {
+    "model": "extended_chain", "params": {"N": 200, "nu": 0.5},
+    "initial_state": {"kind": "index", "index": 0},
+    "w_operator": {"kind": "index_projector", "indices": [0]},
+    "time_grid": {"t_max": 400.0, "dt": 0.2}}
+
+
+@pytest.mark.parametrize("cfg", [DISORDER_MEMBER, EXTENDED_CHAIN],
+                         ids=["disorder_member", "extended_chain"])
+def test_tridiagonal_solver_matches_dense_eigh(cfg):
+    disorder = pipeline._disorder_from_config(cfg, None)
+    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"], disorder)
+    prop = spectral_decompose(H)
+    assert prop.eigensolver == "tridiagonal"
+    dense = dense_propagator(H)
+    lam, V = prop.eigenvalues, prop.eigenvectors
+    assert np.abs(lam - dense.eigenvalues).max() <= 1e-13
+    assert np.linalg.norm(H.entries @ V - V * lam) <= 1e-12
+    assert np.linalg.norm(V.T @ V - np.eye(H.dim)) <= 1e-12
+
+    series = pipeline.run_point(cfg)
+    assert series.metadata["propagator"] == "hermitian_spectral"
+    assert series.metadata["eigensolver"] == "tridiagonal"
+    W = pipeline.build_w_operator(H, cfg["w_operator"])
+    psi = pipeline.build_initial_state(H, cfg["initial_state"])
+    want = otoc_series(dense, W, psi, times=series.times)
+    assert np.abs(series.values - want.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["ssh_eta", "creutz", "haldane", "ssh2d"])
+def test_banded_and_complex_hamiltonians_take_dense_eigh(case):
+    H = {"ssh_eta": lambda: build_ssh(20, 0.6, eta=0.3),
+         "creutz": lambda: build_creutz(10, 1.0, 0.5),
+         "haldane": lambda: build_haldane(3, 3, 1.0, 0.2, 0.5, 0.1),
+         "ssh2d": lambda: build_ssh2d(3, 3, 0.55, 1.0)}[case]()
+    prop = spectral_decompose(H)
+    assert prop.kind == "hermitian_spectral"
+    assert prop.eigensolver == "dense"
+    psi = StateVector(dim=H.dim, amplitudes=np.eye(H.dim)[0].astype(complex))
+    W = OperatorMatrix(dim=H.dim, entries=np.diag(np.eye(H.dim)[0]), opnorm_bound=1.0)
+    series = otoc_series(prop, W, psi, times=np.array([0.0, 1.0]))
+    assert series.metadata["eigensolver"] == "dense"
+
+
+def test_decoupled_cells_take_the_tridiagonal_solver():
+    # nu = 0 zeroes every intracell bond, so the subdiagonal has zeros
+    H = build_ssh(30, 0.0)
+    prop = spectral_decompose(H)
+    assert prop.eigensolver == "tridiagonal"
+    dense = dense_propagator(H)
+    assert np.abs(prop.eigenvalues - dense.eigenvalues).max() <= 1e-13
+    V = prop.eigenvectors
+    assert np.linalg.norm(H.entries @ V - V * prop.eigenvalues) <= 1e-12
+    psi = basis_state(H.layout, 2, "B")
+    W = site_projector(H.layout, [[3, "A"]])
+    times = TimeGrid(t_max=20.0, dt=0.5).times()
+    got = otoc_series(prop, W, psi, times=times).values
+    want = otoc_series(dense, W, psi, times=times).values
+    assert np.abs(got - want).max() <= 1e-12

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from otocsim import pipeline
 from otocsim.config import ConfigError
@@ -124,14 +125,21 @@ def test_nonuniform_time_axis_steps_the_nonhermitian_chain():
 
 
 def test_eigenstate_reuses_the_decomposition(monkeypatch):
+    # a real chain goes to the tridiagonal solver, anything else to dense
+    # eigh; both record the shape of the H they diagonalize
     calls = []
-    original = np.linalg.eigh
+    dense, tridiagonal = np.linalg.eigh, scipy.linalg.eigh_tridiagonal
 
-    def counted(a, *args, **kwargs):
+    def counted_dense(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
+        return dense(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    def counted_tridiagonal(d, e, *args, **kwargs):
+        calls.append((len(d), len(d)))
+        return tridiagonal(d, e, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_dense)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted_tridiagonal)
     cfg = chain_cfg(N=20, initial_state={"kind": "eigenstate"},
                     w_operator={"kind": "sublattice_projector", "sublattice": "A"})
     run_point(cfg)
