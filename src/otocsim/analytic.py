@@ -66,8 +66,8 @@ def extended_chain_hamiltonian(N: int, nu: float, epsilon: float = 1.0) -> Hamil
     layout = LatticeLayout(kind="chain1d", cells_x=dim, cells_y=1,
                            sublattices=1, sublattice_names=("s",))
     bonds = epsilon * np.where(np.arange(dim - 1) % 2 == 0, nu, 1.0)
-    H = _tile(layout, None, [((1, 0), bonds[:, None, None])])
-    return HamiltonianMatrix(dim=dim, entries=H, hermitian=True, layout=layout,
+    triplets = _tile(layout, None, [((1, 0), bonds[:, None, None])])
+    return HamiltonianMatrix(dim=dim, triplets=triplets, hermitian=True, layout=layout,
                              energy_unit=epsilon)
 
 

@@ -122,11 +122,10 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
     diagonal W takes the Chebyshev series instead where the cost rule at
     _CHEBYSHEV_COST favours it."""
     if not H.hermitian:
-        if not np.isfinite(H.entries).all():
+        if not np.isfinite(H.values).all():
             raise FloatingPointError("Hamiltonian entries are not finite")
         return Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit,
-                          hamiltonian=np.asarray(H.entries))
+                          energy_unit=H.energy_unit, hamiltonian=H.entries)
     band = _tridiagonal_band(H)
     if W is not None and times is not None:
         prop = _chebyshev_propagator(H, W, np.asarray(times, dtype=float),
@@ -151,21 +150,53 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
 
 def _tridiagonal_band(H: HamiltonianMatrix):
     """The diagonal and first subdiagonal of a real H that has no nonzero
-    entry outside them, else None. The middle row is tested first, so most
-    other matrices are turned away after one row. Non-finite entries count
-    as nonzero."""
-    A = H.entries
-    if np.iscomplexobj(A):
+    entry outside them, else None. Non-finite entries count as nonzero."""
+    if (np.iscomplexobj(H.values)
+            or np.abs(H.rows - H.cols).max(initial=0) > 1):
         return None
-    mid = H.dim // 2
-    row = A[mid]
-    if np.count_nonzero(row) != np.count_nonzero(row[max(mid - 1, 0):mid + 2]):
-        return None
-    d, e = np.diagonal(A), np.diagonal(A, -1)
-    if (np.count_nonzero(A) != np.count_nonzero(d) + np.count_nonzero(e)
-            + np.count_nonzero(np.diagonal(A, 1))):
-        return None
+    d = np.zeros(H.dim, dtype=H.values.dtype)
+    e = np.zeros(H.dim - 1, dtype=H.values.dtype)
+    on, below = H.rows == H.cols, H.rows == H.cols + 1
+    d[H.rows[on]] = H.values[on]
+    e[H.cols[below]] = H.values[below]
     return d, e
+
+
+def _abs_row_sums(dim: int, rows, cols, values) -> np.ndarray:
+    """np.abs(A).sum(axis=1) of the dim x dim matrix A with the given
+    row-major entries, bit for bit, without forming A. numpy adds a row
+    pairwise: a run of more than 128 entries splits after half its length
+    rounded down to a multiple of 8; a shorter run adds its leading multiple
+    of 8 into 8 interleaved partial sums r_k, combines them as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest one
+    by one (a run of fewer than 8 entries only has the rest). A zero changes
+    no partial sum, so only the given entries and the runs holding them are
+    visited, and an empty run adds 0.0."""
+    def run(lo, n, r, c, a):
+        if r.size == 0:
+            return 0.0
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            left = c < lo + half
+            return (run(lo, half, r[left], c[left], a[left])
+                    + run(lo + half, n - half, r[~left], c[~left], a[~left]))
+        body = n - n % 8 if n >= 8 else 0
+        at = c - lo
+        ids, row = np.unique(r, return_inverse=True)
+        split = at < body
+        acc = np.zeros((8, ids.size))
+        np.add.at(acc, (at[split] % 8, row[split]), a[split])
+        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
+                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
+        rest = np.zeros((8, ids.size))
+        rest[at[~split] - body, row[~split]] = a[~split]
+        for k in range(n - body):
+            total += rest[k]
+        out = np.zeros(dim)
+        out[ids] = total
+        return out
+
+    return np.zeros(dim) + run(0, dim, rows, cols, np.abs(values))
 
 
 def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
@@ -174,28 +205,26 @@ def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
     where eigh is cheaper, W is not diagonal or H is not finite (the eigh
     branch reports that). eigh is priced at dim^3, or _TRIDIAGONAL_COST *
     dim^2 for a tridiagonal H. The cheap tests come first, because most
-    points that stay on eigh fail them: the absolute sum of one bulk row
-    bounds the Gershgorin scale from below, and so M, before the whole
-    matrix is scanned."""
-    work = _CHEBYSHEV_COST * times.size * np.count_nonzero(np.diagonal(W.entries))
+    points that stay on eigh fail them: the largest |H_ij| bounds the
+    Gershgorin scale from below, and so M, before the rows are summed. The
+    row sums, and so the scale, are those of the dense matrix bit for bit
+    (_abs_row_sums), and the CSR matrix holds the triplets of H."""
+    if W.weights is None:
+        return None
+    work = _CHEBYSHEV_COST * times.size * np.count_nonzero(W.weights)
     eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
     tau_max = np.abs(times).max(initial=0.0) / H.energy_unit
-    x_low = float(np.abs(H.entries[H.dim // 2]).sum()) * tau_max
+    x_low = float(np.abs(H.values).max(initial=0.0)) * tau_max
     if not np.isfinite(x_low) or work * _chebyshev_terms(x_low) >= eigh_cost:
         return None
-    scale = float(np.abs(H.entries).sum(axis=1).max()) or 1.0
+    scale = float(_abs_row_sums(H.dim, H.rows, H.cols, H.values).max()) or 1.0
     x_max = scale * tau_max
-    if (not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= eigh_cost
-            or not W.is_diagonal):
+    if not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= eigh_cost:
         return None
     import scipy.sparse  # only here: it stays out of the CLI's import time
-    # CSR from the flat nonzero positions, which come out row-major: about
-    # half the time scipy's own conversion of a dense matrix takes
-    flat = np.flatnonzero(H.entries)
-    rows, cols = np.divmod(flat, H.dim)
     S = scipy.sparse.csr_array(
-        (H.entries.ravel()[flat] / scale, cols,
-         np.searchsorted(rows, np.arange(H.dim + 1))), shape=(H.dim, H.dim))
+        (H.values / scale, H.cols, np.searchsorted(H.rows, np.arange(H.dim + 1))),
+        shape=(H.dim, H.dim))
     return Propagator(kind="chebyshev", dim=H.dim, energy_unit=H.energy_unit,
                       hamiltonian=S, scale=scale)
 
@@ -334,7 +363,7 @@ def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     tau = t / prop.energy_unit
     f = _evolve_ket(prop, psi0.amplitudes, tau)
     g = _evolve_bra(prop, psi0.amplitudes, tau)
-    return complex(np.vdot(g, W.entries @ f))
+    return complex(np.vdot(g, W.apply(f)))
 
 
 def _diagonal_weights(prop, w, psi0, tau):
@@ -359,17 +388,17 @@ def _diagonal_weights(prop, w, psi0, tau):
 def _series_amplitudes_chebyshev(prop, W, psi0, tau):
     """sum_r w_r |<r| e^{-iHt} |psi0>|^2 over the support rows of a diagonal
     W, and the Chebyshev term count."""
-    if not W.is_diagonal:
+    w = W.weights
+    if w is None:
         raise ValueError("the chebyshev propagator needs a diagonal probe")
-    w = np.diagonal(W.entries)
     rows = np.nonzero(w)[0]
     A, M = _chebyshev_amplitudes(prop, psi0, rows, tau)
     return (np.abs(A) ** 2 @ w[rows]).astype(complex), M
 
 
 def _series_amplitudes_spectral(prop, W, psi0, tau):
-    if W.is_diagonal:
-        return _diagonal_weights(prop, np.diagonal(W.entries), psi0, tau)
+    if W.weights is not None:
+        return _diagonal_weights(prop, W.weights, psi0, tau)
     Vh = prop.eigenvectors.conj().T
     phi = _phase_table(prop.eigenvalues, tau) * (Vh @ psi0)[:, None]
     Wt = Vh @ W.entries @ prop.eigenvectors
@@ -382,7 +411,6 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
     was made for, so a uniform grid from 0 takes one pair; a changed step
     makes a new pair. A diagonal W acts as its diagonal."""
     H = prop.hamiltonian
-    w = np.diagonal(W.entries) if W.is_diagonal else None
     f = psi0.astype(complex)
     g = psi0.astype(complex)
     tol = _GRID_RTOL * np.abs(tau).max(initial=0.0)
@@ -398,7 +426,7 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
                 Ub = scipy.linalg.expm(-1j * H.conj().T * h)
             f = U @ f
             g = Ub @ g
-        out[k] = np.vdot(g, W.entries @ f if w is None else w * f)
+        out[k] = np.vdot(g, W.apply(f))
         prev = t
     return out
 

@@ -2,9 +2,11 @@
 
 Every lattice matrix comes from one block tiler, ``_tile``: a builder only
 names its on-site block and one hopping block per cell offset, and the tiler
-adds them onto a zero matrix by vectorized indexing (so no entry is a
-negative zero). Builders return the dense matrix wrapped in
-:class:`HamiltonianMatrix`. Site indexing is row-major, cell-major with the
+lays them out by vectorized indexing and returns the nonzero entries as
+row-major (row, col, value) triplets, with entries that land on one position
+summed in the order they were placed and zeros dropped. Builders wrap the
+triplets in :class:`HamiltonianMatrix`, which builds the dense matrix only
+when a caller asks for it. Site indexing is row-major, cell-major with the
 sublattice index innermost: cell n (1-based) with sublattice s occupies row
 ``(n-1)*n_sub + s``; :class:`LatticeLayout` and ``_tile`` are the only places
 that compute it.
@@ -12,7 +14,7 @@ that compute it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,69 +132,108 @@ class DisorderConfig:
             raise ValueError("need one intracell draw per cell and one intercell draw per bond")
 
 
-@dataclass
 class HamiltonianMatrix:
-    """Dense Hamiltonian with its layout and the energy scale that sets the
-    time unit (times are handled in units of 1/energy_unit)."""
+    """Hamiltonian with its layout and the energy scale that sets the time
+    unit (times are handled in units of 1/energy_unit).
 
-    dim: int
-    entries: np.ndarray
-    hermitian: bool
-    layout: LatticeLayout
-    energy_unit: float = 1.0
+    The matrix is held as its nonzero entries, the arrays rows, cols and
+    values in row-major order with no position twice, as ``_tile`` emits
+    them. A dense ``entries`` given instead is reduced to that form here.
+    The dense matrix, ``entries``, is built from the triplets on first use
+    and kept.
+    """
 
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
-        if self.layout.dim != self.dim:
+    def __init__(self, dim: int, *, hermitian: bool, layout: LatticeLayout,
+                 energy_unit: float = 1.0, entries=None, triplets=None):
+        if (entries is None) == (triplets is None):
+            raise ValueError("give either entries or triplets")
+        if entries is not None:
+            entries = np.asarray(entries)
+            if entries.shape != (dim, dim):
+                raise ValueError(f"entries must be {dim}x{dim}")
+            rows, cols = np.nonzero(entries)
+            triplets = rows, cols, entries[rows, cols]
+        self.rows, self.cols, self.values = (np.asarray(a) for a in triplets)
+        key = self.rows * dim + self.cols
+        if (np.diff(key) <= 0).any():
+            raise ValueError("triplets must be distinct positions in row-major order")
+        if layout.dim != dim:
             raise ValueError("layout dimension does not match matrix dimension")
-        if self.energy_unit <= 0:
+        if energy_unit <= 0:
             raise ValueError("energy_unit must be positive")
-        if self.hermitian:
-            # one n x n scratch array: |H| for the scale, then |H - H^dag|
-            work = np.empty_like(self.entries)
-            np.abs(self.entries, out=work)
-            scale = max(1.0, work.real.max())
-            np.conjugate(self.entries.T, out=work)
-            np.subtract(self.entries, work, out=work)
-            np.abs(work, out=work)
-            resid = work.real.max()
+        self.dim, self.hermitian, self.layout = dim, hermitian, layout
+        self.energy_unit = energy_unit
+        self._dense = None
+        if hermitian:
+            # |H_ij - conj(H_ji)| at every stored (i, j) covers every nonzero
+            # of H - H^dag; the largest |H_ij| is the scale
+            mirror_key = self.cols * dim + self.rows
+            pos = np.searchsorted(key, mirror_key)
+            pos[pos == key.size] = 0
+            mirror = np.where(key[pos] == mirror_key, self.values[pos], 0)
+            scale = max(1.0, np.abs(self.values).max(initial=0.0))
+            resid = np.abs(self.values - np.conjugate(mirror)).max(initial=0.0)
             if resid > _HERMITICITY_TOL * scale:
                 raise ValueError(f"hermitian flag set but residual {resid:.3e} exceeds tolerance")
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix."""
+        if self._dense is None:
+            self._dense = _dense(self.dim, self.rows, self.cols, self.values)
+        return self._dense
 
-def _tile(layout: LatticeLayout, onsite, hops=()) -> np.ndarray:
-    """Dense matrix of the layout, its blocks added onto zeros.
+
+def _dense(dim: int, rows, cols, values) -> np.ndarray:
+    """The dim x dim matrix with the given entries and zeros elsewhere."""
+    out = np.zeros((dim, dim), dtype=values.dtype)
+    out[rows, cols] = values
+    return out
+
+
+def _tile(layout: LatticeLayout, onsite, hops=()):
+    """The layout's matrix as row-major (rows, cols, values) triplets.
 
     onsite sits on every cell. Each ((dx, dy), T) in hops places T from cell
     c to cell c + (dx, dy) (rows of c, columns of the neighbor) and T^dag
     back, for every c whose neighbor lies inside the open patch; a chain
     uses dy = 0. A block is one nb x nb matrix, or an array of them with one
     per cell (onsite) or one per bond (hops, in the order of the cells c);
-    an onsite of None places nothing.
+    an onsite of None places nothing. Entries that land on one position are
+    summed in the order they were placed, starting from zero, as adding the
+    blocks onto a zero matrix would; zero sums are dropped.
     """
     nb, ny = layout.sublattices, layout.cells_y
     cells = np.arange(layout.n_cells)
     cx, cy = np.divmod(cells, ny)
-    hops = [(offset, np.asarray(T)) for offset, T in hops]
-    blocks = [T for _, T in hops] + ([] if onsite is None else [np.asarray(onsite)])
-    H = np.zeros((layout.dim, layout.dim), dtype=np.result_type(*blocks))
     sub = np.arange(nb)
+    placed = []
 
     def add(src, dst, B):
-        H[(nb * src)[:, None, None] + sub[:, None],
-          (nb * dst)[:, None, None] + sub] += B
+        shape = (src.size, nb, nb)
+        placed.append((np.broadcast_to((nb * src)[:, None, None] + sub[:, None], shape),
+                       np.broadcast_to((nb * dst)[:, None, None] + sub, shape),
+                       np.broadcast_to(B, shape)))
 
     if onsite is not None:
-        add(cells, cells, onsite)
+        add(cells, cells, np.asarray(onsite))
     for (dx, dy), T in hops:
+        T = np.asarray(T)
         src = cells[(0 <= cx + dx) & (cx + dx < layout.cells_x)
                     & (0 <= cy + dy) & (cy + dy < ny)]
         dst = src + dx * ny + dy
         add(src, dst, T)
         add(dst, src, np.swapaxes(T.conj(), -1, -2))
-    return H
+    rows, cols, values = (np.concatenate([p[i].ravel() for p in placed])
+                          for i in range(3))
+    # a zero added to a partial sum that starts at +0.0 changes no bit
+    nz = values != 0
+    keys, where = np.unique(rows[nz] * layout.dim + cols[nz], return_inverse=True)
+    sums = np.zeros(keys.size, dtype=values.dtype)
+    np.add.at(sums, where, values[nz])
+    keep = sums != 0
+    rows, cols = np.divmod(keys[keep], layout.dim)
+    return rows, cols, sums[keep]
 
 
 def _chain_layout(N: int) -> LatticeLayout:
@@ -225,8 +266,8 @@ def build_ssh(N: int, nu: float, eta: float = 0.0, epsilon: float = 1.0,
     hop[:, 1, 0] = epsilon * inter
     far = np.array([[0.0, 0.0], [epsilon * eta, 0.0]])
     layout = _chain_layout(N)
-    H = _tile(layout, onsite, [((1, 0), hop), ((2, 0), far)])
-    return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=True,
+    triplets = _tile(layout, onsite, [((1, 0), hop), ((2, 0), far)])
+    return HamiltonianMatrix(dim=2 * N, triplets=triplets, hermitian=True,
                              layout=layout, energy_unit=epsilon)
 
 
@@ -243,9 +284,9 @@ def build_nonhermitian_ssh(N: int, nu: float, delta: float,
         raise LatticeError("epsilon must be positive")
     layout = _chain_layout(N)
     onsite = np.array([[0.0, epsilon * (nu + delta)], [epsilon * (nu - delta), 0.0]])
-    H = _tile(layout, onsite, [((1, 0), np.array([[0.0, 0.0], [epsilon, 0.0]]))])
+    triplets = _tile(layout, onsite, [((1, 0), np.array([[0.0, 0.0], [epsilon, 0.0]]))])
     hermitian = delta == 0.0
-    return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=hermitian,
+    return HamiltonianMatrix(dim=2 * N, triplets=triplets, hermitian=hermitian,
                              layout=layout, energy_unit=epsilon)
 
 
@@ -259,9 +300,9 @@ def build_creutz(N: int, eta0: float, eta0p: float) -> HamiltonianMatrix:
     if N < 2:
         raise LatticeError("need at least N=2 cells")
     layout = _chain_layout(N)
-    H = _tile(layout, eta0 * SIGMA_1, [((1, 0), eta0p * _CREUTZ_HOP)])
+    triplets = _tile(layout, eta0 * SIGMA_1, [((1, 0), eta0p * _CREUTZ_HOP)])
     unit = eta0p if eta0p > 0 else 1.0
-    return HamiltonianMatrix(dim=2 * N, entries=H, hermitian=True,
+    return HamiltonianMatrix(dim=2 * N, triplets=triplets, hermitian=True,
                              layout=layout, energy_unit=unit)
 
 
@@ -279,9 +320,9 @@ def build_haldane(Nx: int, Ny: int, eta1: float, eta2: float, phi: float,
     tx, ty = amp.conj(), amp.copy()
     tx[1, 0] = ty[1, 0] = eta1       # (B, c) -> (A, c + x) and (A, c + y)
     onsite = np.array([[mu, eta1], [eta1, -mu]], dtype=complex)
-    H = _tile(layout, onsite, [((1, 0), tx), ((0, 1), ty), ((1, -1), amp)])
+    triplets = _tile(layout, onsite, [((1, 0), tx), ((0, 1), ty), ((1, -1), amp)])
     unit = eta1 if eta1 > 0 else 1.0
-    return HamiltonianMatrix(dim=layout.dim, entries=H, hermitian=True,
+    return HamiltonianMatrix(dim=layout.dim, triplets=triplets, hermitian=True,
                              layout=layout, energy_unit=unit)
 
 
@@ -317,10 +358,10 @@ def bloch_to_realspace(H0: np.ndarray, Tx: np.ndarray, Ty: np.ndarray,
         sublattice_names = tuple(str(i + 1) for i in range(nb))
     layout = LatticeLayout(kind=kind, cells_x=Nx, cells_y=Ny, sublattices=nb,
                            sublattice_names=sublattice_names)
-    H = _tile(layout, H0, [((1, 0), Tx), ((0, 1), Ty)])
+    triplets = _tile(layout, H0, [((1, 0), Tx), ((0, 1), Ty)])
     herm = (np.abs(H0 - H0.conj().T).max()
             <= _HERMITICITY_TOL * max(1.0, np.abs(H0).max()))
-    return HamiltonianMatrix(dim=layout.dim, entries=H, hermitian=herm,
+    return HamiltonianMatrix(dim=layout.dim, triplets=triplets, hermitian=herm,
                              layout=layout, energy_unit=energy_unit)
 
 
@@ -393,7 +434,7 @@ def chiral_matrix(model: str, N: int) -> np.ndarray:
         blk = SIGMA_2
     else:
         raise LatticeError(f"no chiral operator defined for model {model!r}")
-    return _tile(_chain_layout(N), blk)
+    return _dense(2 * N, *_tile(_chain_layout(N), blk))
 
 
 def symmetry_residual(H, C) -> float:

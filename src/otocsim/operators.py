@@ -7,32 +7,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .lattice import (SIGMA_2, SIGMA_3, HamiltonianMatrix, LatticeError,
-                      LatticeLayout, _tile, chiral_matrix)
+from .lattice import (SIGMA_2, HamiltonianMatrix, LatticeError, LatticeLayout,
+                      _dense, _tile, chiral_matrix)
 
 _NORM_TOL = 1e-12
 
 
-@dataclass
 class OperatorMatrix:
-    """Dense probe operator. opnorm_bound is any upper bound on the spectral
-    norm; it caps the admissible OTOC values."""
+    """Probe operator. A diagonal probe is held as its diagonal, weights;
+    any other as the dense matrix. A dense entries given to the constructor
+    that is diagonal becomes weights. entries is the dense matrix, built from
+    the weights on first use and kept. opnorm_bound is any upper bound on the
+    spectral norm; it caps the admissible OTOC values."""
 
-    dim: int
-    entries: np.ndarray
-    opnorm_bound: float
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries must be {self.dim}x{self.dim}")
-        if self.opnorm_bound < 0:
+    def __init__(self, dim: int, *, opnorm_bound: float, entries=None,
+                 weights=None):
+        if (entries is None) == (weights is None):
+            raise ValueError("give either entries or weights")
+        if entries is not None:
+            entries = np.asarray(entries)
+            if entries.shape != (dim, dim):
+                raise ValueError(f"entries must be {dim}x{dim}")
+            if np.count_nonzero(entries) == np.count_nonzero(np.diagonal(entries)):
+                weights, entries = np.diagonal(entries).copy(), None
+        elif np.shape(weights) != (dim,):
+            raise ValueError(f"weights must have length {dim}")
+        if opnorm_bound < 0:
             raise ValueError("opnorm_bound must be nonnegative")
+        self.dim, self.opnorm_bound = dim, opnorm_bound
+        self.weights = None if weights is None else np.asarray(weights)
+        self._dense = entries
 
     @property
-    def is_diagonal(self) -> bool:
-        return (np.count_nonzero(self.entries)
-                == np.count_nonzero(np.diagonal(self.entries)))
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix."""
+        if self._dense is None:
+            self._dense = np.diag(self.weights)
+        return self._dense
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """W f; a diagonal W multiplies by its weights."""
+        return self.entries @ f if self.weights is None else self.weights * f
 
 
 @dataclass
@@ -64,9 +79,9 @@ def _projector(dim: int, indices, what: str) -> OperatorMatrix:
     error that names what the rows are."""
     if len(set(indices)) != len(indices):
         raise ConfigError(f"duplicate {what} in projector")
-    diag = np.zeros(dim)
-    diag[indices] = 1.0
-    return OperatorMatrix(dim=dim, entries=np.diag(diag), opnorm_bound=1.0)
+    weights = np.zeros(dim)
+    weights[indices] = 1.0
+    return OperatorMatrix(dim=dim, weights=weights, opnorm_bound=1.0)
 
 
 def site_projector(layout: LatticeLayout, sites) -> OperatorMatrix:
@@ -92,11 +107,14 @@ def chiral_partial(layout: LatticeLayout, j: int = 3) -> OperatorMatrix:
         raise LatticeError("chiral_partial applies to two-sublattice chains")
     if j not in (2, 3):
         raise ConfigError("j must be 2 or 3")
-    blk = SIGMA_3.real if j == 3 else SIGMA_2
-    onsite = np.zeros((layout.cells_x, 2, 2), dtype=blk.dtype)
-    onsite[:-1] = blk
-    return OperatorMatrix(dim=layout.dim, entries=_tile(layout, onsite),
-                          opnorm_bound=1.0)
+    if j == 3:
+        weights = np.zeros(layout.dim)
+        weights[:-2] = np.tile([1.0, -1.0], layout.cells_x - 1)
+        return OperatorMatrix(dim=layout.dim, weights=weights, opnorm_bound=1.0)
+    onsite = np.zeros((layout.cells_x, 2, 2), dtype=SIGMA_2.dtype)
+    onsite[:-1] = SIGMA_2
+    return OperatorMatrix(dim=layout.dim, opnorm_bound=1.0,
+                          entries=_dense(layout.dim, *_tile(layout, onsite)))
 
 
 def chiral_operator(model: str, N: int) -> OperatorMatrix:

@@ -108,7 +108,7 @@ def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
                    for k, i in enumerate(spec["indices"])]
         return operators._projector(H.dim, indices, "indices")
     if kind == "identity":
-        return OperatorMatrix(dim=H.dim, entries=np.eye(H.dim), opnorm_bound=1.0)
+        return OperatorMatrix(dim=H.dim, weights=np.ones(H.dim), opnorm_bound=1.0)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
 
@@ -143,9 +143,8 @@ def _check_contracts(series, W: OperatorMatrix, psi0: StateVector) -> None:
                                  f"opnorm_bound^2 = {bound ** 2:g}")
     at_zero = series.times == 0
     if at_zero.any():
-        k = np.flatnonzero(psi0.amplitudes)  # often one site: W only there
-        psi = psi0.amplitudes[k]
-        expected = abs(np.vdot(psi, W.entries[np.ix_(k, k)] @ psi)) ** 2
+        psi = psi0.amplitudes
+        expected = abs(np.vdot(psi, W.apply(psi))) ** 2
         err = float(np.abs(values[at_zero] - expected).max())
         if err > 1e-12:
             raise FloatingPointError(f"O(0) differs from |<psi0|W|psi0>|^2 = "

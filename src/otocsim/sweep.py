@@ -4,14 +4,16 @@ The work unit is one grid point (one Hamiltonian build, one decomposition,
 one series); point-level parallelism saturates cores without shared state.
 On chains the decomposition still dominates, though the tridiagonal solver
 has no cubic reduction: on 150 dim-400 chain members with 2001 samples each
-(the disorder_sweep benchmark), a traced run puts 49% of self time in
-decomposition, 24% in the series and 18% in the lattice build. A
+(the disorder_sweep benchmark), a traced run puts 56% of self time in
+decomposition, 26% in the series and 6% in the lattice build. A
 small-support probe on a large lattice takes the Chebyshev series instead,
-which has no cubic step: on the 8 dim-1600 corner_scan points a traced run
-puts 41% of self time in the series, 30% in the lattice build and 27% in
-decomposition (the sparse matrix), about 0.09 s a point in all. Results land in pre-sized slots by point index,
-which makes 1-worker and K-worker grids bit-identical. An axis named "t" samples O(t) itself along that direction, so
-a whole row shares one decomposition.
+which has no cubic step and, like the tridiagonal path, no dense matrix: on
+the 8 dim-1600 corner_scan points a traced run puts 81% of self time in the
+series, 5% in the lattice build and 5% in decomposition (the row sums and
+the sparse matrix), about 0.04 s a point in all. Results land in pre-sized
+slots by point index, which makes 1-worker and K-worker grids bit-identical.
+An axis named "t" samples O(t) itself along that direction, so a whole row
+shares one decomposition.
 """
 
 from __future__ import annotations

@@ -53,6 +53,10 @@ def test_otoc_json_envelope_round_trips(tmp_path):
     again = validate_config(env["config"])
     assert fingerprint(again) == env["fingerprint"]
     assert len(env["otoc"]) == 101
+    meta = env["metadata"]
+    assert meta["propagator"] == "hermitian_spectral"
+    assert meta["eigensolver"] == "tridiagonal"
+    assert meta["model"] == "ssh" and meta["fingerprint"] == env["fingerprint"]
 
 
 def test_against_committed_fixture(tmp_path):

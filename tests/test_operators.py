@@ -16,7 +16,7 @@ def chain(N):
 def test_site_projector_single_site():
     P = site_projector(chain(2), [[1, "A"]])
     np.testing.assert_array_equal(P.entries, np.diag([1.0, 0.0, 0.0, 0.0]))
-    assert P.opnorm_bound == 1.0 and P.is_diagonal
+    assert P.opnorm_bound == 1.0 and P.weights is not None
 
 
 def test_site_projector_rejects_duplicates_and_empty():
@@ -177,5 +177,5 @@ def test_operator_wrapper_validation():
         OperatorMatrix(dim=2, entries=np.eye(2), opnorm_bound=-1.0)
     W = as_operator(np.diag([3.0, -1.0]))
     assert W.opnorm_bound >= 3.0
-    assert W.is_diagonal
-    assert not as_operator(np.array([[0.0, 1.0], [1.0, 0.0]])).is_diagonal
+    assert W.weights is not None
+    assert as_operator(np.array([[0.0, 1.0], [1.0, 0.0]])).weights is None
