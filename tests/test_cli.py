@@ -57,6 +57,18 @@ def test_otoc_json_envelope_round_trips(tmp_path):
     assert meta["propagator"] == "hermitian_spectral"
     assert meta["eigensolver"] == "tridiagonal"
     assert meta["model"] == "ssh" and meta["fingerprint"] == env["fingerprint"]
+    assert "step_block" not in meta
+
+    # 101 samples from t = 0 take baby steps of 11 and two matrices: e^{-iHh}
+    # and its 11th power; the real H makes no bra factors of its own
+    cfg = base_cfg(model="nonhermitian_ssh",
+                   params={"N": 20, "nu": 1.1, "delta": 0.4})
+    code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "nh.csv"), "--json", out_json])
+    assert code == 0
+    meta = json.loads(Path(out_json).read_text())["metadata"]
+    assert meta["propagator"] == "scaled_expm"
+    assert meta["step_block"] == 11 and meta["step_matrices"] == 2
 
 
 def test_against_committed_fixture(tmp_path):

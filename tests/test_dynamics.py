@@ -452,3 +452,77 @@ def test_decoupled_cells_take_the_tridiagonal_solver():
     got = otoc_series(prop, W, psi, times=times).values
     want = otoc_series(dense, W, psi, times=times).values
     assert np.abs(got - want).max() <= 1e-12
+
+
+def stepped(H, W, psi, times):
+    """The blocked series and the sample-by-sample one on the same input."""
+    prop = spectral_decompose(H)
+    assert prop.kind == "scaled_expm"
+    tau = np.asarray(times) / H.energy_unit
+    loop, block, _ = dynamics._step_each_sample(prop.hamiltonian, W,
+                                                psi.amplitudes, tau)
+    assert block == 1
+    return otoc_series(prop, W, psi, times=times), loop
+
+
+@pytest.mark.parametrize("nu", [0.8, 1.1, 1.4])
+@pytest.mark.parametrize("n_t", [4, 5, 501, 2001])
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_blocked_stepping_matches_the_sample_loop(nu, n_t, t0):
+    H = build_nonhermitian_ssh(60, nu, 0.4)
+    psi = basis_state(H.layout, 1, "A")
+    W = site_projector(H.layout, [[1, "A"]])
+    series, loop = stepped(H, W, psi, t0 + np.arange(n_t) * 0.2)
+    B = int(np.ceil(np.sqrt(n_t)))
+    assert series.metadata["step_block"] == B
+    assert series.metadata["step_matrices"] == (2 if t0 == 0 else 3)
+    assert np.abs(series.amplitudes - loop).max() <= 1e-12
+    if t0 == 0:
+        assert series.values[0] == 1.0
+
+
+def test_blocked_stepping_of_a_two_row_probe():
+    H = build_nonhermitian_ssh(60, 1.1, 0.4)
+    amplitudes = np.zeros(H.dim, dtype=complex)
+    amplitudes[[0, 3]] = [0.6, 0.8j]
+    psi = StateVector(dim=H.dim, amplitudes=amplitudes)
+    W = site_projector(H.layout, [[1, "A"], [2, "B"]])
+    series, loop = stepped(H, W, psi, np.arange(501) * 0.2)
+    assert series.metadata["step_block"] == 23
+    assert np.abs(series.amplitudes - loop).max() <= 1e-12
+    assert series.values[0] == abs(np.vdot(psi.amplitudes,
+                                           W.apply(psi.amplitudes))) ** 2
+
+
+@pytest.mark.parametrize("t0", [0.0, 3.7])
+def test_blocked_stepping_of_a_complex_hamiltonian(t0):
+    # P H P^dag with the diagonal unitary P = diag(e^{0.7ij}) is complex, so
+    # e^{-iH^dag h} != (e^{-iHh})^T and the bra factors must be its own; a
+    # two-row probe makes the phases of the bra rows count
+    real = build_nonhermitian_ssh(60, 1.1, 0.4)
+    phase = np.exp(0.7j * np.arange(real.dim))
+    H = wrap(phase[:, None] * real.entries * phase.conj(), hermitian=False)
+    psi = basis_state(real.layout, 1, "A")
+    W = site_projector(real.layout, [[1, "A"], [2, "B"]])
+    series, loop = stepped(H, W, psi, t0 + np.arange(2001) * 0.2)
+    assert series.metadata["step_matrices"] == (4 if t0 == 0 else 6)
+    assert np.abs(series.amplitudes - loop).max() <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["dense", "sublattice", "nonuniform"])
+def test_other_stepping_inputs_take_the_sample_loop(case):
+    H = build_nonhermitian_ssh(60, 1.1, 0.4)
+    psi = basis_state(H.layout, 1, "A")
+    times = np.arange(501) * 0.2
+    if case == "dense":
+        W = chiral_partial(H.layout, j=2)
+        assert W.weights is None
+    elif case == "sublattice":
+        W = sublattice_projector(H.layout, "A")     # 60 rows, B = 23
+    else:
+        W = site_projector(H.layout, [[1, "A"]])
+        times = np.array([0.0, 0.2, 0.5, 0.9, 1.4, 2.0])   # five steps
+    series, loop = stepped(H, W, psi, times)
+    assert series.metadata["step_block"] == 1
+    assert series.metadata["step_matrices"] == (10 if case == "nonuniform" else 2)
+    np.testing.assert_array_equal(series.amplitudes, loop)
