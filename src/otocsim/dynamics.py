@@ -74,8 +74,8 @@ class Propagator:
     matrix exponentials: the eigenbasis of a non-Hermitian chain is too ill
     conditioned to trust; a uniform grid is stepped in giant and baby steps
     where the probe allows (_series_amplitudes_stepping). "chebyshev" keeps
-    H/scale as a sparse CSR matrix, with scale a Gershgorin bound of the
-    spectrum, and evolves by the Chebyshev series of e^{-iHt}.
+    H/scale as a sparse CSR matrix, scale a Gershgorin bound of the spectrum
+    with a rounding margin, and evolves by the Chebyshev series of e^{-iHt}.
     """
 
     kind: str
@@ -122,10 +122,8 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
 
     Given the probe W and the times it is sampled at, a Hermitian H with a
     diagonal W takes the Chebyshev series instead where the cost rule at
-    _CHEBYSHEV_COST favours it."""
+    _CHEBYSHEV_COST favours it. H is finite, as its build checks."""
     if not H.hermitian:
-        if not np.isfinite(H.values).all():
-            raise FloatingPointError("Hamiltonian entries are not finite")
         return Propagator(kind="scaled_expm", dim=H.dim,
                           energy_unit=H.energy_unit, hamiltonian=H.entries)
     band = _tridiagonal_band(H)
@@ -134,8 +132,6 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
                                      band is not None)
         if prop is not None:
             return prop
-    if band is not None and not all(np.isfinite(b).all() for b in band):
-        raise FloatingPointError("Hamiltonian entries are not finite")
     try:
         if band is None:
             lam, V = np.linalg.eigh(H.entries)
@@ -152,7 +148,7 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
 
 def _tridiagonal_band(H: HamiltonianMatrix):
     """The diagonal and first subdiagonal of a real H that has no nonzero
-    entry outside them, else None. Non-finite entries count as nonzero."""
+    entry outside them, else None."""
     if (np.iscomplexobj(H.values)
             or np.abs(H.rows - H.cols).max(initial=0) > 1):
         return None
@@ -164,63 +160,29 @@ def _tridiagonal_band(H: HamiltonianMatrix):
     return d, e
 
 
-def _abs_row_sums(dim: int, rows, cols, values) -> np.ndarray:
-    """np.abs(A).sum(axis=1) of the dim x dim matrix A with the given
-    row-major entries, bit for bit, without forming A. numpy adds a row
-    pairwise: a run of more than 128 entries splits after half its length
-    rounded down to a multiple of 8; a shorter run adds its leading multiple
-    of 8 into 8 interleaved partial sums r_k, combines them as
-    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and adds the rest one
-    by one (a run of fewer than 8 entries only has the rest). A zero changes
-    no partial sum, so only the given entries and the runs holding them are
-    visited, and an empty run adds 0.0."""
-    def run(lo, n, r, c, a):
-        if r.size == 0:
-            return 0.0
-        if n > 128:
-            half = n // 2 - (n // 2) % 8
-            left = c < lo + half
-            return (run(lo, half, r[left], c[left], a[left])
-                    + run(lo + half, n - half, r[~left], c[~left], a[~left]))
-        body = n - n % 8 if n >= 8 else 0
-        at = c - lo
-        ids, row = np.unique(r, return_inverse=True)
-        split = at < body
-        acc = np.zeros((8, ids.size))
-        np.add.at(acc, (at[split] % 8, row[split]), a[split])
-        total = (((acc[0] + acc[1]) + (acc[2] + acc[3]))
-                 + ((acc[4] + acc[5]) + (acc[6] + acc[7])))
-        rest = np.zeros((8, ids.size))
-        rest[at[~split] - body, row[~split]] = a[~split]
-        for k in range(n - body):
-            total += rest[k]
-        out = np.zeros(dim)
-        out[ids] = total
-        return out
-
-    return np.zeros(dim) + run(0, dim, rows, cols, np.abs(values))
-
-
 def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
                           times: np.ndarray, tridiagonal: bool):
     """The Chebyshev propagator of a Hermitian H for the probe W, or None
-    where eigh is cheaper, W is not diagonal or H is not finite (the eigh
-    branch reports that). eigh is priced at dim^3, or _TRIDIAGONAL_COST *
-    dim^2 for a tridiagonal H. The cheap tests come first, because most
-    points that stay on eigh fail them: the largest |H_ij| bounds the
-    Gershgorin scale from below, and so M, before the rows are summed. The
-    row sums, and so the scale, are those of the dense matrix bit for bit
-    (_abs_row_sums), and the CSR matrix holds the triplets of H."""
+    where eigh is cheaper, W is not diagonal or the scale overflows. eigh is
+    priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H.
+
+    The scale bounds the spectrum by Gershgorin: the largest sum of |H_ij|
+    over a row, raised by the factor 1 + (k + 1) eps for the rounding, with
+    k the most entries stored in one row and eps the spacing of floats at 1.
+    Each |H_ij| is within a relative eps of its true value (exact if real),
+    and each of the at most k - 1 additions of nonnegative terms loses at
+    most a relative eps/2 whatever their order. So a computed row sum is at
+    least the true one times 1 - (k + 1) eps/2, and the factor, itself
+    exact, more than makes up for that and for the rounding of the product.
+    The CSR matrix holds the triplets of H."""
     if W.weights is None:
         return None
+    sums = np.bincount(H.rows, weights=np.abs(H.values), minlength=H.dim)
+    k = np.bincount(H.rows, minlength=H.dim).max()
+    scale = float(sums.max() * (1 + (k + 1) * np.finfo(float).eps)) or 1.0
+    x_max = scale * (np.abs(times).max(initial=0.0) / H.energy_unit)
     work = _CHEBYSHEV_COST * times.size * np.count_nonzero(W.weights)
     eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
-    tau_max = np.abs(times).max(initial=0.0) / H.energy_unit
-    x_low = float(np.abs(H.values).max(initial=0.0)) * tau_max
-    if not np.isfinite(x_low) or work * _chebyshev_terms(x_low) >= eigh_cost:
-        return None
-    scale = float(_abs_row_sums(H.dim, H.rows, H.cols, H.values).max()) or 1.0
-    x_max = scale * tau_max
     if not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= eigh_cost:
         return None
     import scipy.sparse  # only here: it stays out of the CLI's import time

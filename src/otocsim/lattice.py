@@ -140,7 +140,7 @@ class HamiltonianMatrix:
     values in row-major order with no position twice, as ``_tile`` emits
     them. A dense ``entries`` given instead is reduced to that form here.
     The dense matrix, ``entries``, is built from the triplets on first use
-    and kept.
+    and kept. A non-finite entry raises FloatingPointError here.
     """
 
     def __init__(self, dim: int, *, hermitian: bool, layout: LatticeLayout,
@@ -161,6 +161,8 @@ class HamiltonianMatrix:
             raise ValueError("layout dimension does not match matrix dimension")
         if energy_unit <= 0:
             raise ValueError("energy_unit must be positive")
+        if not np.isfinite(self.values).all():
+            raise FloatingPointError("Hamiltonian entries are not finite")
         self.dim, self.hermitian, self.layout = dim, hermitian, layout
         self.energy_unit = energy_unit
         self._dense = None

@@ -9,9 +9,9 @@ decomposition, 26% in the series and 6% in the lattice build. A
 small-support probe on a large lattice takes the Chebyshev series instead,
 which has no cubic step and, like the tridiagonal path, no dense matrix: on
 the 8 dim-1600 corner_scan points a traced run puts 81% of self time in the
-series, 5% in the lattice build and 5% in decomposition (the row sums and
-the sparse matrix), about 0.04 s a point in all. Results land in pre-sized
-slots by point index, which makes 1-worker and K-worker grids bit-identical.
+series, 5% in the lattice build and 5% in decomposition (the sparse
+matrix), about 0.04 s a point in all. Results land in pre-sized slots by
+point index, which makes 1-worker and K-worker grids bit-identical.
 An axis named "t" samples O(t) itself along that direction, so a whole row
 shares one decomposition.
 """

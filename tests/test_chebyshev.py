@@ -1,13 +1,16 @@
 """The Chebyshev propagator: its Bessel table, its agreement with dense
 eigh, and the cost rule that picks it inside run_point."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
 
 from otocsim import analytic, dynamics, pipeline
 from otocsim.dynamics import evolve, otoc_series, spectral_decompose
-from otocsim.lattice import build_creutz, build_haldane, build_qwz, build_ssh, build_ssh2d
+from otocsim.lattice import (HamiltonianMatrix, LatticeLayout, build_creutz,
+                             build_haldane, build_qwz, build_ssh, build_ssh2d)
 from otocsim.operators import (OperatorMatrix, StateVector, basis_state,
                                site_projector, staggered_state)
 
@@ -73,6 +76,42 @@ def test_series_matches_dense(always_chebyshev, model, times):
     assert got.metadata["chebyshev_scale"] == prop.scale
     assert got.metadata["chebyshev_terms"] == dynamics._chebyshev_terms(
         prop.scale * np.abs(t).max() / H.energy_unit)
+
+
+def random_sparse_hermitian():
+    """A complex Hermitian matrix with about 5% of its entries set, their
+    magnitudes spread over six decades."""
+    rng = np.random.default_rng(7)
+    dim = 200
+    mask = np.triu(rng.random((dim, dim)) < 0.05, 1)
+    A = np.where(mask, (rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+                 * 10.0 ** rng.uniform(-3, 3, (dim, dim)), 0)
+    A = A + A.conj().T + np.diag(rng.standard_normal(dim))
+    layout = LatticeLayout(kind="chain1d", cells_x=dim, cells_y=1,
+                           sublattices=1, sublattice_names=("s",))
+    return HamiltonianMatrix(dim=dim, entries=A, hermitian=True, layout=layout)
+
+
+SCALED = {
+    "ssh2d": lambda: build_ssh2d(20, 20, 0.55, 1.0),
+    "haldane": lambda: build_haldane(9, 8, 1.0, 0.3, 0.7, 0.2),
+    "qwz": lambda: build_qwz(10, 10, 1.0, 1.2),
+    "random_complex": random_sparse_hermitian,
+}
+
+
+@pytest.mark.parametrize("model", sorted(SCALED))
+def test_scale_bounds_the_spectrum(always_chebyshev, model):
+    # the scale is the largest row sum of |H_ij| raised by a few ulps, never
+    # below the correctly rounded sum
+    H = SCALED[model]()
+    prop = spectral_decompose(H, probe(H.dim, [0]), np.array([0.0, 1.0]))
+    assert prop.kind == "chebyshev"
+    per_row = np.split(np.abs(H.values), np.searchsorted(H.rows, np.arange(1, H.dim)))
+    largest = max(math.fsum(row) for row in per_row)
+    assert largest <= prop.scale <= largest * (1 + 1e-12)
+    assert np.abs(np.linalg.eigvalsh(H.entries)).max() <= prop.scale
 
 
 @pytest.mark.parametrize("H, flavor", [(build_ssh(12, 0.6), "ssh_A"),
@@ -142,6 +181,16 @@ def kind_of(cfg):
 
 def test_cost_rule_picks_the_series_for_the_corner_probe():
     assert kind_of(corner_config()) == "chebyshev"
+
+
+@pytest.mark.parametrize("nu_p, M", [(0.55, 452), (0.90, 548)])
+def test_term_count_at_the_corner_scan_end_points(nu_p, M):
+    # M follows the scale: a change to the scale that moves M shows here
+    cfg = corner_config()
+    cfg["params"]["nu_p"] = nu_p
+    series = pipeline.run_point(cfg)
+    assert series.metadata["propagator"] == "chebyshev"
+    assert series.metadata["chebyshev_terms"] == M
 
 
 def test_cost_rule_keeps_eigh_for_a_disorder_member():

@@ -215,11 +215,11 @@ def test_overflowing_hamiltonian_is_a_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("eta, message", [
     (0.0, "Hamiltonian entries are not finite"),      # tridiagonal chain
-    (0.3, "O(t) is not finite"),                       # dense eigh
+    (0.3, "Hamiltonian entries are not finite"),      # dense eigh
 ])
 def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys, eta, message):
-    # epsilon * nu overflows to inf; the Hermiticity residual is then NaN,
-    # which no tolerance comparison catches
+    # epsilon * nu overflows to inf; the Hermiticity residual would then be
+    # NaN, which no tolerance comparison catches, so the build refuses H
     cfg = base_cfg(params={"N": 20, "nu": 1e308, "epsilon": 10.0, "eta": eta})
     out = tmp_path / "run.csv"
     code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
