@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import analytic, fileio, pipeline
-from .config import ConfigError, fingerprint, load_config
+from .config import ConfigError, fingerprint, load_config, validate_config
 from .dynamics import EigensolverError, long_time_limit
 from .ensemble import EnsembleError, ensemble_average
 from .sweep import SweepError, detect_transition
@@ -110,19 +110,15 @@ def cmd_validate(args) -> int:
     if args.config:
         cfg = load_config(args.config, require_run=False)
     else:
-        from .config import validate_config
         cfg = validate_config(_DEFAULT_VALIDATE, require_run=False)
     if cfg["model"] != "extended_chain":
         raise ConfigError("validate runs on model 'extended_chain'")
     params = cfg["params"]
-    N, nu = int(params["N"]), params["nu"]
-    eps = params.get("epsilon", 1.0)
-    tg = cfg["time_grid"]
-    system = analytic.analytic_eigenpairs(N, nu, eps)
+    system = analytic.analytic_eigenpairs(**params)
     point = {"model": "extended_chain", "params": params,
              "initial_state": {"kind": "index", "index": 0},
              "w_operator": {"kind": "index_projector", "indices": [0]},
-             "time_grid": tg}
+             "time_grid": cfg["time_grid"]}
     series = pipeline.run_point(point, observable="full_series")
     closed = analytic.otoc_site_closed_form(system, series.times, L=1, M=1)
     numeric = series.values.copy()
@@ -136,20 +132,18 @@ def cmd_validate(args) -> int:
                 fh.write(",".join("%.17g" % v for v in row) + "\n")
     worst = float(diff.max())
     status = "ok" if worst <= args.tol else "FAIL"
-    print(f"validate N={N} nu={nu:g}: max |analytic - numeric| = {worst:.3e} "
-          f"(tol {args.tol:g}) {status}")
+    print(f"validate N={params['N']} nu={params['nu']:g}: max |analytic - "
+          f"numeric| = {worst:.3e} (tol {args.tol:g}) {status}")
     return EXIT_OK if worst <= args.tol else EXIT_VALIDATION
 
 
 def cmd_model_dump(args) -> int:
     cfg = load_config(args.config, require_run=False)
-    seed = None
     dis = cfg.get("disorder")
     if dis is not None and "n_configs" in dis:
         raise ConfigError("model-dump needs a single disorder.seed, not an ensemble")
-    from .pipeline import _disorder_from_config, build_hamiltonian
-    disorder = _disorder_from_config(cfg, seed)
-    H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
+    disorder = pipeline._disorder_from_config(cfg, None)
+    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"], disorder)
     fileio.write_dense_matrix(args.out, H.entries)
     print(f"wrote {args.out}  (dim {H.dim}, hermitian {H.hermitian}, "
           f"fingerprint {fingerprint(cfg)[:12]})")

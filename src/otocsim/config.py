@@ -12,6 +12,7 @@ import copy
 import functools
 import hashlib
 import json
+import sys
 
 OBSERVABLES = ("long_time_limit", "time_average", "full_series")
 # relative slack on "t_max is a multiple of dt", for decimal steps like 0.2
@@ -37,21 +38,6 @@ _POSITIVE_PARAMS = {"epsilon", "w"}
 _TOP_KEYS = ("model", "params", "disorder", "initial_state", "w_operator",
              "time_grid", "observable", "sweep")
 
-_STATE_FIELDS = {
-    "basis": (("cell",), ("sublattice",)),
-    "index": (("index",), ()),
-    "site": (("x", "y"), ()),
-    "staggered": (("M",), ("flavor",)),
-    "eigenstate": ((), ("project_a", "degeneracy_tol")),
-}
-_W_FIELDS = {
-    "site_projector": (("sites",), ()),
-    "sublattice_projector": (("sublattice",), ()),
-    "chiral_partial": ((), ("j",)),
-    "index_projector": (("indices",), ()),
-    "identity": ((), ()),
-}
-
 
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
@@ -71,14 +57,13 @@ def _check_keys(section: dict, where: str, required, optional) -> None:
 def _number(value, where: str, integer: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite")
     if integer:
-        if isinstance(value, float) and not value.is_integer():
+        if not _whole(value):
             raise ConfigError(f"{where} must be an integer")
         return int(value)
-    value = float(value)
-    if value != value or value in (float("inf"), float("-inf")):
-        raise ConfigError(f"{where} must be finite")
-    return value
+    return float(value)
 
 
 def _param(model: str, key: str, value, where: str):
@@ -99,12 +84,65 @@ def _strength(value, where: str) -> float:
     return value
 
 
+def _choice(value, where: str, choices):
+    if value not in choices:
+        raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _whole(value) -> bool:
+    """An integer, or a float with an integral value."""
+    return (value.is_integer() if isinstance(value, float)
+            else isinstance(value, int) and not isinstance(value, bool))
+
+
+def _cell(value) -> bool:
+    return _whole(value) or (isinstance(value, list) and len(value) in (1, 2)
+                             and all(map(_whole, value)))
+
+
+def _sublattice(value) -> bool:
+    return isinstance(value, str) or _whole(value)
+
+
+def _site(value) -> bool:
+    return (isinstance(value, list) and len(value) == 2 and _cell(value[0])
+            and _sublattice(value[1]))
+
+
+def _list_of(test):
+    return lambda value: isinstance(value, list) and bool(value) and all(map(test, value))
+
+
+# The test of each field and what it asks for, as (required, optional)
+# fields per kind. A test only rejects, except that the fields tested by
+# _whole (index, x, y, M) are made ints, as they always were.
+_INTEGER = (_whole, "an integer")
+_SUBLATTICE = (_sublattice, "a sublattice name or an integer")
+_STATE_FIELDS = {
+    "basis": ({"cell": (_cell, "an integer or an [x, y] pair of integers")},
+              {"sublattice": _SUBLATTICE}),
+    "index": ({"index": _INTEGER}, {}),
+    "site": ({"x": _INTEGER, "y": _INTEGER}, {}),
+    "staggered": ({"M": _INTEGER},
+                  {"flavor": (lambda v: v in ("ssh_A", "creutz_AB"), "ssh_A or creutz_AB")}),
+    "eigenstate": ({}, {
+        "project_a": (lambda v: isinstance(v, bool), "true or false"),
+        "degeneracy_tol": (lambda v: not isinstance(v, bool) and isinstance(v, (int, float))
+                           and 0 <= v <= sys.float_info.max, "a finite nonnegative number")}),
+}
+_W_FIELDS = {
+    "site_projector": ({"sites": (_list_of(_site), "a nonempty list of [cell, sublattice] pairs")},
+                       {}),
+    "sublattice_projector": ({"sublattice": _SUBLATTICE}, {}),
+    "chiral_partial": ({}, {"j": (lambda v: v in (2, 3), "2 or 3")}),
+    "index_projector": ({"indices": (_list_of(_whole), "a nonempty list of integers")}, {}),
+    "identity": ({}, {}),
+}
+
+
 def _validate_model(cfg: dict) -> None:
-    model = cfg.get("model")
-    if model is None:
-        raise ConfigError("model is required")
-    if model not in _MODEL_PARAMS:
-        raise ConfigError(f"model must be one of {sorted(_MODEL_PARAMS)}, got {model!r}")
+    model = _choice(cfg.get("model"), "model", sorted(_MODEL_PARAMS))
     params = _require_mapping(cfg.get("params", {}), "params")
     required, optional = _MODEL_PARAMS[model]
     _check_keys(params, "params", required, optional)
@@ -130,64 +168,44 @@ def _validate_disorder(cfg: dict) -> None:
         dis["d2"] = _strength(dis["d2"], "disorder.d2")
     else:
         raise ConfigError("disorder needs either d or both d1 and d2")
-    has_seed = "seed" in dis
-    has_ensemble = "seed0" in dis or "n_configs" in dis
-    if has_seed and has_ensemble:
-        raise ConfigError("disorder.seed excludes disorder.seed0/n_configs")
-    if not has_seed and not has_ensemble:
-        raise ConfigError("disorder needs seed (single run) or seed0 and n_configs (ensemble)")
-    if has_seed:
+    if "seed" in dis:
+        if "seed0" in dis or "n_configs" in dis:
+            raise ConfigError("disorder.seed excludes disorder.seed0/n_configs")
         dis["seed"] = _number(dis["seed"], "disorder.seed", integer=True)
-    else:
-        if "seed0" not in dis or "n_configs" not in dis:
-            raise ConfigError("disorder ensemble needs both seed0 and n_configs")
+    elif "seed0" in dis and "n_configs" in dis:
         dis["seed0"] = _number(dis["seed0"], "disorder.seed0", integer=True)
         dis["n_configs"] = _number(dis["n_configs"], "disorder.n_configs", integer=True)
         if dis["n_configs"] < 1:
             raise ConfigError("disorder.n_configs must be at least 1")
+    elif "seed0" in dis or "n_configs" in dis:
+        raise ConfigError("disorder ensemble needs both seed0 and n_configs")
+    else:
+        raise ConfigError("disorder needs seed (single run) or seed0 and n_configs (ensemble)")
     if cfg.get("model") != "ssh":
         raise ConfigError("disorder is only supported for model 'ssh'")
     cfg["disorder"] = dis
 
 
-def _validate_state(cfg: dict) -> None:
-    state = _require_mapping(cfg.get("initial_state"), "initial_state")
-    kind = state.get("kind")
-    if kind not in _STATE_FIELDS:
-        raise ConfigError(f"initial_state.kind must be one of {sorted(_STATE_FIELDS)}, got {kind!r}")
-    required, optional = _STATE_FIELDS[kind]
-    _check_keys(state, "initial_state", ("kind",) + required, optional)
-    if kind == "index":
-        state["index"] = _number(state["index"], "initial_state.index", integer=True)
-    if kind == "site":
-        state["x"] = _number(state["x"], "initial_state.x", integer=True)
-        state["y"] = _number(state["y"], "initial_state.y", integer=True)
-    if kind == "staggered":
-        state["M"] = _number(state["M"], "initial_state.M", integer=True)
-
-
-def _validate_w(cfg: dict) -> None:
-    w = _require_mapping(cfg.get("w_operator"), "w_operator")
-    kind = w.get("kind")
-    if kind not in _W_FIELDS:
-        raise ConfigError(f"w_operator.kind must be one of {sorted(_W_FIELDS)}, got {kind!r}")
-    required, optional = _W_FIELDS[kind]
-    _check_keys(w, "w_operator", ("kind",) + required, optional)
-    if kind == "site_projector":
-        if not isinstance(w["sites"], list) or not w["sites"]:
-            raise ConfigError("w_operator.sites must be a nonempty list")
-    if kind == "index_projector":
-        if not isinstance(w["indices"], list) or not w["indices"]:
-            raise ConfigError("w_operator.indices must be a nonempty list")
+def _validate_kind(cfg: dict, section: str, fields: dict) -> None:
+    """The section's kind and keys, and each field against its test."""
+    if section not in cfg:
+        raise ConfigError(f"{section} is required")
+    spec = _require_mapping(cfg[section], section)
+    required, optional = fields[_choice(spec.get("kind"), f"{section}.kind",
+                                        sorted(fields))]
+    _check_keys(spec, section, ("kind", *required), optional)
+    for key, (test, what) in (required | optional).items():
+        if key in spec and not test(spec[key]):
+            raise ConfigError(f"{section}.{key} must be {what}, got {spec[key]!r}")
+        if key in spec and test is _whole:
+            spec[key] = int(spec[key])
 
 
 def _validate_time_grid(cfg: dict) -> None:
     tg = _require_mapping(cfg.get("time_grid", {}), "time_grid")
     _check_keys(tg, "time_grid", (), ("t_max", "dt"))
-    tg.setdefault("t_max", 400.0)
-    tg.setdefault("dt", 0.2)
-    tg["t_max"] = _number(tg["t_max"], "time_grid.t_max")
-    tg["dt"] = _number(tg["dt"], "time_grid.dt")
+    for key, default in (("t_max", 400.0), ("dt", 0.2)):
+        tg[key] = _number(tg.get(key, default), f"time_grid.{key}")
     if tg["t_max"] <= 0 or tg["dt"] <= 0:
         raise ConfigError("time_grid.t_max and time_grid.dt must be positive")
     if tg["dt"] > tg["t_max"]:
@@ -203,8 +221,7 @@ def _validate_observable(cfg: dict) -> None:
     obs = _require_mapping(cfg.get("observable", {}), "observable")
     _check_keys(obs, "observable", (), ("name", "tail_fraction"))
     obs.setdefault("name", "long_time_limit")
-    if obs["name"] not in OBSERVABLES:
-        raise ConfigError(f"observable.name must be one of {OBSERVABLES}, got {obs['name']!r}")
+    _choice(obs["name"], "observable.name", OBSERVABLES)
     if "tail_fraction" in obs:
         obs["tail_fraction"] = _number(obs["tail_fraction"], "observable.tail_fraction")
         if not 0 < obs["tail_fraction"] <= 1:
@@ -218,7 +235,7 @@ def _validate_sweep(cfg: dict, model: str) -> None:
         return
     sweep = _require_mapping(sweep, "sweep")
     _check_keys(sweep, "sweep", ("axis1",), ("axis2",))
-    param_names = set(_MODEL_PARAMS[model][0]) | set(_MODEL_PARAMS[model][1])
+    param_names = _MODEL_PARAMS[model][0] + _MODEL_PARAMS[model][1] + ("t", "d")
     for label in ("axis1", "axis2"):
         axis = sweep.get(label)
         if axis is None:
@@ -226,7 +243,7 @@ def _validate_sweep(cfg: dict, model: str) -> None:
         axis = _require_mapping(axis, f"sweep.{label}")
         _check_keys(axis, f"sweep.{label}", ("name", "values"), ())
         name = axis["name"]
-        if name not in param_names and name not in ("t", "d"):
+        if name not in param_names:
             raise ConfigError(f"sweep.{label}.name {name!r} is not a parameter of model {model!r}")
         if name == "d" and cfg.get("disorder") is None:
             raise ConfigError("sweep axis 'd' requires a disorder section")
@@ -250,12 +267,8 @@ def validate_config(cfg: dict, require_run: bool = True) -> dict:
     _validate_model(cfg)
     _validate_disorder(cfg)
     if require_run:
-        if "initial_state" not in cfg:
-            raise ConfigError("initial_state is required")
-        if "w_operator" not in cfg:
-            raise ConfigError("w_operator is required")
-        _validate_state(cfg)
-        _validate_w(cfg)
+        _validate_kind(cfg, "initial_state", _STATE_FIELDS)
+        _validate_kind(cfg, "w_operator", _W_FIELDS)
     _validate_time_grid(cfg)
     _validate_observable(cfg)
     _validate_sweep(cfg, cfg["model"])

@@ -164,7 +164,9 @@ def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
                           times: np.ndarray, tridiagonal: bool):
     """The Chebyshev propagator of a Hermitian H for the probe W, or None
     where eigh is cheaper, W is not diagonal or the scale overflows. eigh is
-    priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H.
+    priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H. As
+    M > x = a max|t|, work * x at that price rules the series out before the
+    search for M, which would not end for a huge x (or an infinite one).
 
     The scale bounds the spectrum by Gershgorin: the largest sum of |H_ij|
     over a row, raised by the factor 1 + (k + 1) eps for the rounding, with
@@ -183,7 +185,7 @@ def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
     x_max = scale * (np.abs(times).max(initial=0.0) / H.energy_unit)
     work = _CHEBYSHEV_COST * times.size * np.count_nonzero(W.weights)
     eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
-    if not np.isfinite(x_max) or work * _chebyshev_terms(x_max) >= eigh_cost:
+    if not work * x_max < eigh_cost or work * _chebyshev_terms(x_max) >= eigh_cost:
         return None
     import scipy.sparse  # only here: it stays out of the CLI's import time
     S = scipy.sparse.csr_array(
@@ -425,57 +427,55 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
     On a grid that _grid_block splits into blocks of B, a diagonal W with at
     most B support rows R takes giant and baby steps: U = e^{-iHh} for the
     step h = tau[1] - tau[0] (the one the loop makes its factors for), U^B,
-    and for tau[0] != 0 one e^{-iH tau[0]} to reach the first sample. Kets and bras are stepped whole only at every B-th sample,
-    and on the rows R in between (_stepped_rows). A real H makes no bra
-    factors of its own: e^{-iH^dag h} = (e^{-iHh})^T. Any other input takes
-    _step_each_sample."""
+    and for tau[0] != 0 one e^{-iH tau[0]} to reach the first sample, each
+    with its bra factor from _step_factors. Kets and bras are stepped whole
+    only at every B-th sample, and on the rows R in between (_stepped_rows).
+    Any other input takes _step_each_sample."""
     H = prop.hamiltonian
     B = _grid_block(tau)
     w = W.weights
     if B is None or w is None or np.count_nonzero(w) > B:
         return _step_each_sample(H, W, psi0, tau)
     rows = np.nonzero(w)[0]
-
-    def factors(A):
-        U = _flush(scipy.linalg.expm(-1j * A * (tau[1] - tau[0])))
-        first = None if tau[0] == 0 else scipy.linalg.expm(-1j * A * tau[0])
-        return U, _power(U, B), first
-
     real = np.isrealobj(H)
-    ket = factors(H)
-    bra = (tuple(None if M is None else M.T for M in ket) if real
-           else factors(H.conj().T))
-    f, g = (_stepped_rows(U, UB, psi0 if first is None else first @ psi0,
-                          rows, B, tau.size) for U, UB, first in (ket, bra))
+    U, Ub = _step_factors(H, tau[1] - tau[0])
+    UB = _power(U, B)
+    UbB = UB.T if real else _power(Ub, B)
+    ket, bra = ((psi0, psi0) if tau[0] == 0
+                else (F @ psi0 for F in _step_factors(H, tau[0])))
+    f = _stepped_rows(U, UB, ket, rows, B, tau.size)
+    g = _stepped_rows(Ub, UbB, bra, rows, B, tau.size)
     formed = (1 if real else 2) * (2 if tau[0] == 0 else 3)
     return (w[rows, None] * np.conj(g) * f).sum(axis=0), B, formed
 
 
+def _step_factors(H, h):
+    """The ket and bra step factors e^{-iHh} and e^{-iH^dag h}, flushed. A
+    real H makes no bra factor of its own: e^{-iH^dag h} = (e^{-iHh})^T."""
+    U = _flush(scipy.linalg.expm(-1j * H * h))
+    if np.isrealobj(H):
+        return U, U.T
+    return U, _flush(scipy.linalg.expm(-1j * H.conj().T * h))
+
+
 def _step_each_sample(H, W, psi0, tau):
     """The stepped series sample by sample, as _series_amplitudes_stepping
-    returns it (baby-step length 1). One pair of step factors serves every
+    returns it (baby-step length 1). One pair of _step_factors serves every
     step within _GRID_RTOL*max|tau| of the step it was made for, so a
     uniform grid from 0 takes one pair; a changed step makes a new pair. A
     diagonal W acts as its diagonal."""
-    f = psi0.astype(complex)
-    g = psi0.astype(complex)
+    f = g = psi0.astype(complex)
     tol = _GRID_RTOL * np.abs(tau).max(initial=0.0)
     out = np.empty(tau.shape, dtype=complex)
-    h = None
-    prev = 0.0
-    formed = 0
-    for k, t in enumerate(tau):
-        step = t - prev
+    h, formed = None, 0
+    for k, step in enumerate(np.diff(tau, prepend=0.0)):
         if step != 0.0:
             if h is None or abs(step - h) > tol:
                 h = step
-                U = scipy.linalg.expm(-1j * H * h)
-                Ub = scipy.linalg.expm(-1j * H.conj().T * h)
-                formed += 2
-            f = U @ f
-            g = Ub @ g
+                U, Ub = _step_factors(H, h)
+                formed += 1 if np.isrealobj(H) else 2
+            f, g = U @ f, Ub @ g
         out[k] = np.vdot(g, W.apply(f))
-        prev = t
     return out, 1, formed
 
 
@@ -490,8 +490,8 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     the default 2001 samples, instead of n_t; other grids take n_t per
     eigenvalue. Stepping a diagonal W with few support rows on such a grid
     forms e^{-iHh} and its B-th power, B = ceil(sqrt(n_t)), and makes about
-    4*B matrix-vector products; other inputs take one pair of matrix
-    exponentials per distinct step and two products per sample. The
+    4*B matrix-vector products; other inputs take one matrix exponential
+    (two for a complex H) per distinct step and two products per sample. The
     metadata holds B (1 for the sample loop) under step_block and the count
     of exponentials and powers under step_matrices. The Chebyshev series
     takes M sparse products for the moments, an M x n_t Bessel table and an

@@ -131,7 +131,7 @@ def _basis(dim: int, index: int) -> StateVector:
     return StateVector(dim=dim, amplitudes=amp, normalized=True)
 
 
-def basis_state(layout: LatticeLayout, cell, sublattice) -> StateVector:
+def basis_state(layout: LatticeLayout, cell, sublattice="A") -> StateVector:
     return _basis(layout.dim, layout.index_of(cell, sublattice))
 
 
@@ -192,6 +192,19 @@ def lowest_abs_eigenstate(H: HamiltonianMatrix,
         psi = V[:, i0]
     psi = psi / np.linalg.norm(psi)
     return StateVector(dim=H.dim, amplitudes=psi.astype(complex), normalized=True)
+
+
+def eigenstate(H: HamiltonianMatrix, eigenpairs: tuple | None = None,
+               degeneracy_tol: float | None = None, project_a: bool = True) -> StateVector:
+    """lowest_abs_eigenstate, projected onto sublattice A and renormalized."""
+    state = lowest_abs_eigenstate(H, degeneracy_tol, eigenpairs)
+    if not project_a:
+        return state
+    amp = project_sublattice_a(H.layout, state).amplitudes
+    nrm = float(np.linalg.norm(amp))
+    if nrm == 0.0:
+        raise ConfigError("eigenstate has no sublattice-A weight to project onto")
+    return StateVector(dim=H.dim, amplitudes=amp / nrm, normalized=True)
 
 
 def project_sublattice_a(layout: LatticeLayout, state: StateVector) -> StateVector:

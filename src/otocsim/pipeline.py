@@ -2,14 +2,17 @@
 
 Everything here consumes plain validated config mappings (see config.py) so
 that grid points and ensemble members can be shipped to worker processes.
+config.py owns every field; the builders take the fields by name.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import lattice, operators
-from .config import ConfigError, fingerprint
+from .config import _INT_PARAMS, ConfigError, fingerprint
 from .dynamics import (Propagator, TimeGrid, long_time_limit, otoc_series,
                        spectral_decompose, time_average)
 from .ensemble import draw_disorder
@@ -17,93 +20,74 @@ from .analytic import extended_chain_hamiltonian
 from .lattice import DisorderConfig, HamiltonianMatrix
 from .operators import OperatorMatrix, StateVector
 
-MODELS = ("ssh", "nonhermitian_ssh", "creutz", "haldane", "qwz", "ssh2d",
-          "extended_chain")
+_BUILDERS = dict(ssh=lattice.build_ssh, nonhermitian_ssh=lattice.build_nonhermitian_ssh,
+                 creutz=lattice.build_creutz, haldane=lattice.build_haldane,
+                 qwz=lattice.build_qwz, ssh2d=lattice.build_ssh2d,
+                 extended_chain=extended_chain_hamiltonian)
 
 
+def _names(section: str):
+    """Decorator: a config error the builder raises names the config section
+    it builds from, unless its message already does."""
+    def wrap(build):
+        @functools.wraps(build)
+        def named(*args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except ConfigError as exc:
+                if section not in str(exc):
+                    exc.args = (f"{exc} (in {section})",)
+                raise
+        return named
+    return wrap
+
+
+@_names("params")
 def build_hamiltonian(model: str, params: dict,
                       disorder: DisorderConfig | None = None) -> HamiltonianMatrix:
-    if disorder is not None and model != "ssh":
-        raise ConfigError(f"disorder is only supported for model 'ssh', not {model!r}")
-    if model == "ssh":
-        return lattice.build_ssh(int(params["N"]), params["nu"],
-                                 eta=params.get("eta", 0.0),
-                                 epsilon=params.get("epsilon", 1.0),
-                                 disorder=disorder)
-    if model == "nonhermitian_ssh":
-        return lattice.build_nonhermitian_ssh(int(params["N"]), params["nu"],
-                                              params["delta"],
-                                              epsilon=params.get("epsilon", 1.0))
-    if model == "creutz":
-        return lattice.build_creutz(int(params["N"]), params["eta0"],
-                                    params["eta0p"])
-    if model == "haldane":
-        return lattice.build_haldane(int(params["Nx"]), int(params["Ny"]),
-                                     params["eta1"], params["eta2"],
-                                     params["phi"], params["mu"])
-    if model == "qwz":
-        return lattice.build_qwz(int(params["Nx"]), int(params["Ny"]),
-                                 params["eta0"], params["mu_p"])
-    if model == "ssh2d":
-        return lattice.build_ssh2d(int(params["Nx"]), int(params["Ny"]),
-                                   params["nu_p"], params["w"])
-    if model == "extended_chain":
-        return extended_chain_hamiltonian(int(params["N"]), params["nu"],
-                                          epsilon=params.get("epsilon", 1.0))
-    raise ConfigError(f"unknown model {model!r}")
+    """The model's builder called with params by name. N, Nx and Ny are cast
+    to int because a sweep assigns its axis values as floats."""
+    kwargs = {k: int(v) if k in _INT_PARAMS else v for k, v in params.items()}
+    if disorder is not None:
+        kwargs["disorder"] = disorder
+    return _BUILDERS[model](**kwargs)
 
 
+@_names("initial_state")
 def build_initial_state(H: HamiltonianMatrix, spec: dict,
                         prop: Propagator | None = None) -> StateVector:
     """The configured psi0; an eigenstate reuses the eigenpairs of prop when
     it is given."""
     kind = spec["kind"]
-    layout = H.layout
+    fields = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "basis":
-        cell = spec["cell"]
-        if isinstance(cell, list):
-            cell = tuple(cell)
-        return operators.basis_state(layout, cell, spec.get("sublattice", "A"))
+        return operators.basis_state(H.layout, **fields)
     if kind == "index":
-        return operators._basis(H.dim, _check_index(int(spec["index"]), H.dim,
+        return operators._basis(H.dim, _check_index(spec["index"], H.dim,
                                                      "initial_state.index"))
     if kind == "site":
         # 1-based site coordinates of the four-component square lattice
-        return operators._basis(H.dim, lattice.ssh2d_site_index(
-            layout, int(spec["x"]), int(spec["y"])))
+        return operators._basis(H.dim, lattice.ssh2d_site_index(H.layout, **fields))
     if kind == "staggered":
-        return operators.staggered_state(layout, int(spec["M"]),
-                                         flavor=spec.get("flavor", "ssh_A"))
+        return operators.staggered_state(H.layout, **fields)
     if kind == "eigenstate":
         eigenpairs = None if prop is None else (prop.eigenvalues, prop.eigenvectors)
-        state = operators.lowest_abs_eigenstate(H, spec.get("degeneracy_tol"),
-                                                eigenpairs)
-        if spec.get("project_a", True):
-            projected = operators.project_sublattice_a(layout, state)
-            nrm = float(np.linalg.norm(projected.amplitudes))
-            if nrm == 0.0:
-                raise ValueError("eigenstate has no sublattice-A weight to project onto")
-            state = StateVector(dim=H.dim, amplitudes=projected.amplitudes / nrm,
-                                normalized=True)
-        return state
+        return operators.eigenstate(H, eigenpairs, **fields)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 
 
+@_names("w_operator")
 def build_w_operator(H: HamiltonianMatrix, spec: dict) -> OperatorMatrix:
     kind = spec["kind"]
-    layout = H.layout
+    fields = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "site_projector":
-        sites = []
-        for cell, subl in spec["sites"]:
-            if isinstance(cell, list):
-                cell = tuple(cell)
-            sites.append((cell, subl))
-        return operators.site_projector(layout, sites)
+        return operators.site_projector(H.layout, **fields)
     if kind == "sublattice_projector":
-        return operators.sublattice_projector(layout, spec["sublattice"])
+        return operators.sublattice_projector(H.layout, **fields)
     if kind == "chiral_partial":
-        return operators.chiral_partial(layout, j=int(spec.get("j", 3)))
+        return operators.chiral_partial(H.layout, **fields)
     if kind == "index_projector":
+        # the schema takes whole floats here as they are
         indices = [_check_index(int(i), H.dim, f"w_operator.indices[{k}]")
                    for k, i in enumerate(spec["indices"])]
         return operators._projector(H.dim, indices, "indices")
@@ -116,12 +100,10 @@ def _disorder_from_config(cfg: dict, seed: int | None) -> DisorderConfig | None:
     dis = cfg.get("disorder")
     if dis is None:
         return None
-    if seed is None:
-        seed = dis.get("seed")
+    seed = dis.get("seed") if seed is None else seed
     if seed is None:
         raise ValueError("disorder requires a seed (or seed0 via the ensemble runner)")
-    N = int(cfg["params"]["N"])
-    return draw_disorder(int(seed), N, dis["d1"], dis["d2"])
+    return draw_disorder(seed, int(cfg["params"]["N"]), dis["d1"], dis["d2"])
 
 
 def _check_index(index: int, dim: int, where: str) -> int:
@@ -165,13 +147,10 @@ def run_point(cfg: dict, observable: str = "full_series",
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
     W = build_w_operator(H, cfg["w_operator"])
     if times is None:
-        tg = cfg.get("time_grid", {})
-        times = TimeGrid(t_max=tg.get("t_max", 400.0), dt=tg.get("dt", 0.2)).times()
+        times = TimeGrid(**cfg.get("time_grid", {})).times()
     state = cfg["initial_state"]
-    if state["kind"] == "eigenstate":
-        prop = spectral_decompose(H)
-    else:
-        prop = spectral_decompose(H, W, times)
+    prop = (spectral_decompose(H) if state["kind"] == "eigenstate"
+            else spectral_decompose(H, W, times))
     psi0 = build_initial_state(H, state, prop)
     series = otoc_series(prop, W, psi0, times=times)
     _check_contracts(series, W, psi0)

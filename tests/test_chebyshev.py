@@ -1,7 +1,12 @@
 """The Chebyshev propagator: its Bessel table, its agreement with dense
 eigh, and the cost rule that picks it inside run_point."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +244,24 @@ def test_paths_the_series_never_takes(always_chebyshev, case):
         want = "scaled_expm"
     assert kind_of(cfg) == want
     assert spectral_decompose(build_ssh(20, 0.6)).kind == "hermitian_spectral"
+
+
+def test_huge_scale_leaves_the_series_without_a_term_search(tmp_path):
+    # nu_p = 1e200 puts x = a * t_max near 1e200, where the search for M
+    # would step by one for ever; the run goes to a child process so that a
+    # hang fails here instead of holding the suite
+    cfg = {"model": "ssh2d", "params": {"Nx": 4, "Ny": 4, "nu_p": 1e200, "w": 1.0},
+           "initial_state": {"kind": "site", "x": 1, "y": 1},
+           "w_operator": {"kind": "index_projector", "indices": [2]},
+           "time_grid": {"t_max": 1.0, "dt": 0.2}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "otocsim", "otoc", "--config", str(path),
+         "--out", str(tmp_path / "run.csv"), "--json", str(tmp_path / "run.json")],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    metadata = json.loads((tmp_path / "run.json").read_text())["metadata"]
+    assert metadata["propagator"] == "hermitian_spectral"

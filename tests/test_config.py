@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -236,3 +237,40 @@ def test_state_field_validation():
         validate_config(minimal(w_operator={"kind": "site_projector", "sites": []}))
     with pytest.raises(ConfigError, match="indices"):
         validate_config(minimal(w_operator={"kind": "index_projector", "indices": []}))
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"w_operator": {"kind": "chiral_partial", "j": 2.5}}, "w_operator.j"),
+    ({"w_operator": {"kind": "chiral_partial", "j": "3"}}, "w_operator.j"),
+    ({"initial_state": {"kind": "basis", "cell": 1.5}}, "initial_state.cell"),
+    ({"initial_state": {"kind": "basis", "cell": {"a": 1}}}, "initial_state.cell"),
+    ({"initial_state": {"kind": "basis", "cell": 1, "sublattice": [1]}},
+     "initial_state.sublattice"),
+    ({"initial_state": {"kind": "eigenstate", "degeneracy_tol": "x"}},
+     "initial_state.degeneracy_tol"),
+    ({"initial_state": {"kind": "eigenstate", "project_a": "no"}},
+     "initial_state.project_a"),
+    ({"initial_state": {"kind": "staggered", "M": 2, "flavor": "ssh_B"}},
+     "initial_state.flavor"),
+    ({"w_operator": {"kind": "site_projector", "sites": [[1]]}}, "w_operator.sites"),
+    ({"w_operator": {"kind": "index_projector", "indices": ["a"]}},
+     "w_operator.indices"),
+    ({"model": ["ssh"]}, "model"),
+    ({"initial_state": {"kind": ["basis"]}}, "initial_state.kind"),
+    ({"sweep": {"axis1": {"name": ["nu"], "values": [1.0]}}}, "sweep.axis1.name"),
+    ({"params": {"N": 20, "nu": 10 ** 400}}, "params.nu"),
+])
+def test_values_of_the_wrong_type_are_refused_naming_the_field(overrides, field):
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        validate_config(minimal(**overrides))
+
+
+def test_valid_values_keep_their_form():
+    # the field tests only reject: whole floats stay floats, except in the
+    # fields that have always been made ints
+    cfg = minimal(initial_state={"kind": "basis", "cell": [1.0], "sublattice": 1.0},
+                  w_operator={"kind": "chiral_partial", "j": 3.0})
+    out = validate_config(cfg)
+    assert out["initial_state"] == cfg["initial_state"]
+    assert out["w_operator"] == cfg["w_operator"]
+    assert isinstance(out["w_operator"]["j"], float)
