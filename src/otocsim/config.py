@@ -230,12 +230,15 @@ def _validate_observable(cfg: dict) -> None:
 
 
 def _validate_sweep(cfg: dict, model: str) -> None:
+    """Each axis names a model parameter, 't' or 'd', and no name twice;
+    full_series is a grid only along a 't' axis."""
     sweep = cfg.get("sweep")
     if sweep is None:
         return
     sweep = _require_mapping(sweep, "sweep")
     _check_keys(sweep, "sweep", ("axis1",), ("axis2",))
     param_names = _MODEL_PARAMS[model][0] + _MODEL_PARAMS[model][1] + ("t", "d")
+    names = []
     for label in ("axis1", "axis2"):
         axis = sweep.get(label)
         if axis is None:
@@ -245,6 +248,9 @@ def _validate_sweep(cfg: dict, model: str) -> None:
         name = axis["name"]
         if name not in param_names:
             raise ConfigError(f"sweep.{label}.name {name!r} is not a parameter of model {model!r}")
+        if name in names:
+            raise ConfigError(f"sweep.{label}.name {name!r} repeats sweep.axis1.name")
+        names.append(name)
         if name == "d" and cfg.get("disorder") is None:
             raise ConfigError("sweep axis 'd' requires a disorder section")
         values = axis["values"]
@@ -255,6 +261,8 @@ def _validate_sweep(cfg: dict, model: str) -> None:
         # the values stay floats: the sweep assigns every axis value as one
         axis["values"] = [float(check(v, f"sweep.{label}.values[{i}]"))
                           for i, v in enumerate(values)]
+    if cfg["observable"]["name"] == "full_series" and "t" not in names:
+        raise ConfigError("observable.name 'full_series' needs a sweep axis named 't'")
     cfg["sweep"] = sweep
 
 

@@ -18,6 +18,7 @@ from .operators import OperatorMatrix, StateVector
 
 _ORACLE_MAX_DIM = 64
 _GRID_RTOL = 1e-13
+TAIL_FRACTION = 0.5          # the trailing share of a series long_time_limit averages
 # The Chebyshev series replaces eigh when _CHEBYSHEV_COST * M * n_t * R is
 # below the price of eigh: dim^3 for dense eigh, _TRIDIAGONAL_COST * dim^2
 # for the tridiagonal solver (M terms, n_t samples, R support rows of a
@@ -538,7 +539,7 @@ def otoc_trace_oracle(H: HamiltonianMatrix, W: np.ndarray, rho0: np.ndarray,
     return float(val.real)
 
 
-def long_time_limit(series: OtocSeries, tail_fraction: float = 0.5) -> TailStats:
+def long_time_limit(series: OtocSeries, tail_fraction: float = TAIL_FRACTION) -> TailStats:
     """Mean and spread of the series over its trailing fraction."""
     if not 0 < tail_fraction <= 1:
         raise ValueError("tail_fraction must lie in (0, 1]")

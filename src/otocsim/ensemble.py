@@ -40,7 +40,7 @@ def draw_disorder(seed: int, N: int, d1: float, d2: float) -> DisorderConfig:
     """Disorder realization for an N-cell chain: N-1 intercell draws r and N
     intracell draws r', in that order, from one stream."""
     if N < 2:
-        raise ConfigError("N must be at least 2")
+        raise ConfigError("params.N must be at least 2 for a disordered chain")
     if d1 < 0 or d2 < 0:
         raise ValueError("disorder strengths must be nonnegative")
     u = uniform_pm_half(seed, (N - 1) + N)

@@ -90,7 +90,8 @@ def write_json(path: str, payload: dict) -> None:
 def series_envelope(cfg: dict, series) -> dict:
     """The series with its config and, under "metadata", how it was made:
     the propagator kind, the eigensolver or the Chebyshev term count and
-    scale, the energy unit, the model and the config fingerprint."""
+    scale, the energy unit, the model, the config fingerprint and the tail
+    mean and spread."""
     env = {"tool": TOOL_NAME, "version": __version__, "kind": "otoc_series",
            "fingerprint": fingerprint(cfg), "config": cfg,
            "times": series.times, "otoc": series.values,

@@ -13,8 +13,8 @@ import numpy as np
 
 from . import lattice, operators
 from .config import _INT_PARAMS, ConfigError, fingerprint
-from .dynamics import (Propagator, TimeGrid, long_time_limit, otoc_series,
-                       spectral_decompose, time_average)
+from .dynamics import (TAIL_FRACTION, Propagator, TimeGrid, long_time_limit,
+                       otoc_series, spectral_decompose, time_average)
 from .ensemble import draw_disorder
 from .analytic import extended_chain_hamiltonian
 from .lattice import DisorderConfig, HamiltonianMatrix
@@ -102,7 +102,8 @@ def _disorder_from_config(cfg: dict, seed: int | None) -> DisorderConfig | None:
         return None
     seed = dis.get("seed") if seed is None else seed
     if seed is None:
-        raise ValueError("disorder requires a seed (or seed0 via the ensemble runner)")
+        raise ConfigError("disorder.seed is required for a single run; seed0 and "
+                          "n_configs are for the ensemble and sweep subcommands")
     return draw_disorder(seed, int(cfg["params"]["N"]), dis["d1"], dis["d2"])
 
 
@@ -140,8 +141,9 @@ def run_point(cfg: dict, observable: str = "full_series",
     O(t) is sampled on the config's time grid unless explicit times are
     given. The decomposition sees the probe and the times, so it can pick the
     Chebyshev series; an eigenstate psi0 needs the eigenpairs and always
-    takes eigh. Returns an OtocSeries for "full_series", otherwise a
-    float.
+    takes eigh. The series metadata records the mean and spread of its tail
+    as tail_mean and tail_std. Returns an OtocSeries for "full_series",
+    otherwise a float.
     """
     disorder = _disorder_from_config(cfg, seed)
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
@@ -154,12 +156,14 @@ def run_point(cfg: dict, observable: str = "full_series",
     psi0 = build_initial_state(H, state, prop)
     series = otoc_series(prop, W, psi0, times=times)
     _check_contracts(series, W, psi0)
-    series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg))
+    obs = cfg.get("observable", {})
+    tail = long_time_limit(series, obs.get("tail_fraction", TAIL_FRACTION))
+    series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg),
+                           tail_mean=tail.mean, tail_std=tail.std)
     if observable == "full_series":
         return series
     if observable == "long_time_limit":
-        frac = cfg.get("observable", {}).get("tail_fraction", 0.5)
-        return long_time_limit(series, frac).mean
+        return tail.mean
     if observable == "time_average":
         return time_average(series)
     raise ValueError(f"unknown observable {observable!r}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, fingerprint
+from .config import ConfigError, fingerprint, validate_config
 from .ensemble import ensemble_average
 
 
@@ -107,28 +107,24 @@ def _run_points(worker, jobs, labels, workers: int):
 
 
 def sweep(cfg: dict, workers: int = 1) -> SweepResult:
-    """Evaluate the configured observable over the sweep axes."""
+    """Evaluate the configured observable over the sweep axes. The config is
+    validated here, so its sweep rules hold below: the axes have distinct
+    names, and full_series comes with a 't' axis."""
+    cfg = validate_config(cfg)
     spec = cfg.get("sweep")
     if spec is None:
-        raise ValueError("config has no sweep section")
-    ax1 = SweepAxis(spec["axis1"]["name"], spec["axis1"]["values"])
-    ax2 = None
-    if spec.get("axis2") is not None:
-        ax2 = SweepAxis(spec["axis2"]["name"], spec["axis2"]["values"])
-    observable = cfg.get("observable", {}).get("name", "long_time_limit")
+        raise ConfigError("sweep section is required")
+    axes = [SweepAxis(**spec[label]) for label in ("axis1", "axis2")
+            if spec.get(label) is not None]
+    observable = cfg["observable"]["name"]
     meta = {"fingerprint": fingerprint(cfg), "model": cfg["model"],
             "params": cfg["params"]}
     if cfg.get("disorder") is not None:
         meta["disorder"] = cfg["disorder"]
 
-    axes = [ax for ax in (ax1, ax2) if ax is not None]
     t_axes = [ax for ax in axes if ax.name == "t"]
-    if len(t_axes) > 1:
-        raise ValueError("at most one axis may be 't'")
     if t_axes:
         times, point_observable, observable = t_axes[0].values, "full_series", "otoc"
-    elif observable == "full_series":
-        raise ValueError("full_series grids need a 't' axis")
     else:
         times, point_observable = None, observable
     p_axes = [ax for ax in axes if ax.name != "t"]
@@ -143,10 +139,10 @@ def sweep(cfg: dict, workers: int = 1) -> SweepResult:
     vals = _run_points(_point, jobs, labels, workers)
     grid = np.asarray(vals, dtype=float).reshape(
         [ax.values.size for ax in p_axes + t_axes])
-    if t_axes and p_axes and t_axes[0] is ax1:
+    if t_axes and p_axes and t_axes[0] is axes[0]:
         grid = grid.T            # (t, param)
-    return SweepResult(axis1=ax1, axis2=ax2, grid=grid,
-                       observable=observable, metadata=meta)
+    return SweepResult(axis1=axes[0], axis2=axes[1] if len(axes) > 1 else None,
+                       grid=grid, observable=observable, metadata=meta)
 
 
 def detect_transition(result: SweepResult, threshold: float | None = None) -> list:

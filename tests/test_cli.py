@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otocsim import pipeline
+from otocsim import analytic, dynamics, pipeline
 from otocsim.cli import main
 from otocsim.config import fingerprint, validate_config
+from otocsim.dynamics import long_time_limit
 from otocsim.fileio import read_dense_matrix, read_series_csv
 from otocsim.lattice import build_ssh
 from otocsim.pipeline import run_point
@@ -144,6 +145,7 @@ def test_out_of_range_index_names_the_field(tmp_path, capsys, section, spec,
     ({"initial_state": {"kind": "basis", "cell": 21, "sublattice": "A"}},
      "cell 21 out of range"),
     ({"time_grid": {"t_max": 1.0, "dt": 0.3}}, "time_grid.dt"),
+    ({"params": {"N": 1, "nu": 0.5}, "disorder": {"d": 1.0, "seed": 3}}, "params.N"),
 ])
 def test_config_errors_exit_2_under_otoc_and_sweep(tmp_path, capsys,
                                                    overrides, message):
@@ -320,8 +322,16 @@ def test_validate_default_benchmark(tmp_path, capsys):
     assert len(lines) == 2002
 
 
-def test_validate_flags_corruption(capsys):
-    code = main(["validate", "--corrupt"])
+def test_validate_flags_corruption(capsys, monkeypatch):
+    closed_form = analytic.otoc_site_closed_form
+
+    def shifted(*args, **kwargs):
+        values = closed_form(*args, **kwargs)
+        values[values.size // 3] += 1e-3
+        return values
+
+    monkeypatch.setattr(analytic, "otoc_site_closed_form", shifted)
+    code = main(["validate"])
     assert code == 3
     assert "FAIL" in capsys.readouterr().out
 
@@ -347,3 +357,86 @@ def test_model_dump_round_trips(tmp_path):
     assert code == 0
     M = read_dense_matrix(out)
     np.testing.assert_array_equal(M, build_ssh(6, 0.7).entries.astype(complex))
+
+
+NU_AXIS = {"name": "nu", "values": [0.2, 1.5]}
+T_AXIS = {"name": "t", "values": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("phase-diagram", {"sweep": {"axis1": NU_AXIS, "axis2": NU_AXIS}}, "sweep.axis2.name"),
+    ("sweep", {"sweep": {"axis1": T_AXIS, "axis2": T_AXIS}}, "sweep.axis2.name"),
+    ("sweep", {"observable": {"name": "full_series"}, "sweep": {"axis1": NU_AXIS}},
+     "observable.name"),
+    ("sweep", {}, "sweep"),
+    ("phase-diagram", {}, "sweep"),
+])
+def test_sweep_rules_exit_2_naming_the_field(tmp_path, capsys, command, overrides,
+                                             field):
+    out = tmp_path / "grid.csv"
+    code = main([command, "--config", write_cfg(tmp_path, base_cfg(**overrides)),
+                 "--out", str(out)])
+    assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["otoc", "model-dump"])
+def test_single_runs_need_a_single_seed(tmp_path, capsys, command):
+    cfg = base_cfg(disorder={"d": 1.0, "seed0": 0, "n_configs": 3})
+    code = main([command, "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "out.txt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "disorder.seed" in err and "n_configs" in err
+
+
+def test_out_of_memory_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise MemoryError("Unable to allocate 14.6 TiB for an array")
+
+    monkeypatch.setattr(dynamics.TimeGrid, "times", refuse)
+    out = tmp_path / "run.csv"
+    code = main(["otoc", "--config", write_cfg(tmp_path, base_cfg()), "--out", str(out)])
+    assert code == 1
+    assert "numerical failure: Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_otoc_metadata_records_the_tail(tmp_path, capsys):
+    cfg = base_cfg(observable={"tail_fraction": 0.25})
+    out_json = tmp_path / "run.json"
+    assert main(["otoc", "--config", write_cfg(tmp_path, cfg),
+                 "--out", str(tmp_path / "run.csv"), "--json", str(out_json)]) == 0
+    meta = json.loads(out_json.read_text())["metadata"]
+    series = run_point(validate_config(cfg))
+    tail = long_time_limit(series, 0.25)
+    assert (meta["tail_mean"], meta["tail_std"]) == (tail.mean, tail.std)
+    assert f"tail mean {tail.mean:.6g}," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, axes", [
+    ("sweep", {"axis1": {"name": "nu", "values": [0.5, 1.0, 1.5]}}),
+    ("phase-diagram", {"axis1": {"name": "nu", "values": [0.5, 1.5]},
+                       "axis2": {"name": "eta", "values": [0.0, 0.5]}}),
+])
+def test_sweep_json_envelope_matches_the_csv(tmp_path, command, axes):
+    cfg = base_cfg(time_grid={"t_max": 10.0, "dt": 0.5}, sweep=axes)
+    out, out_json = tmp_path / "grid.csv", tmp_path / "grid.json"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out),
+                 "--json", str(out_json)]) == 0
+    env = json.loads(out_json.read_text())
+    assert env["kind"] == "sweep"
+    assert env["fingerprint"] == fingerprint(validate_config(cfg))
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    names = [env["axis1"]["name"]] + ([env["axis2"]["name"]] if env["axis2"] else [])
+    assert header == names + [env["observable"]]
+    assert names == [axes[label]["name"] for label in sorted(axes)]
+    if "axis2" not in axes:
+        assert env["axis2"] is None
+        expected = list(zip(env["axis1"]["values"], env["grid"]))
+    else:
+        expected = [(x1, x2, env["grid"][i][j])
+                    for i, x1 in enumerate(env["axis1"]["values"])
+                    for j, x2 in enumerate(env["axis2"]["values"])]
+    assert [tuple(map(float, row)) for row in rows] == expected

@@ -1,9 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from otocsim.config import ConfigError, fingerprint, load_config, validate_config
+
+DATA = Path(__file__).parent / "data"
 
 
 def minimal(**overrides):
@@ -274,3 +277,42 @@ def test_valid_values_keep_their_form():
     assert out["initial_state"] == cfg["initial_state"]
     assert out["w_operator"] == cfg["w_operator"]
     assert isinstance(out["w_operator"]["j"], float)
+
+
+@pytest.mark.parametrize("name", ["nu", "t", "d"])
+def test_sweep_axes_have_distinct_names(name):
+    cfg = minimal(disorder={"d": 0.5, "seed": 1},
+                  sweep={"axis1": {"name": name, "values": [0.2, 1.5]},
+                         "axis2": {"name": name, "values": [0.5]}})
+    with pytest.raises(ConfigError, match=r"sweep\.axis2\.name"):
+        validate_config(cfg)
+
+
+def test_full_series_grids_need_a_time_axis():
+    cfg = minimal(observable={"name": "full_series"},
+                  sweep={"axis1": {"name": "nu", "values": [0.5, 1.0]}})
+    with pytest.raises(ConfigError, match=r"observable\.name"):
+        validate_config(cfg)
+    cfg["sweep"]["axis2"] = {"name": "t", "values": [0.0, 1.0]}
+    assert validate_config(cfg)["observable"]["name"] == "full_series"
+    assert validate_config(minimal(observable={"name": "full_series"}))
+
+
+def test_validation_is_idempotent():
+    golden = json.loads((DATA / "golden_config.json").read_text())
+    ensemble = minimal(disorder={"d": 1.0, "seed0": 3, "n_configs": 2},
+                       observable={"name": "time_average", "tail_fraction": 0.25},
+                       sweep={"axis1": {"name": "d", "values": [0, 1]},
+                              "axis2": {"name": "N", "values": [4, 6]}})
+    for raw in (golden, ensemble):
+        once = validate_config(raw)
+        twice = validate_config(once)
+        assert twice == once
+        assert fingerprint(twice) == fingerprint(once)
+
+
+def test_readme_example_passes_the_schema():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Config schema\s+```json\n(.*?)```", readme, re.S)
+    cfg = validate_config(json.loads(block.group(1)))
+    assert cfg["disorder"] == {"d1": 0.5, "d2": 1.0, "seed0": 0, "n_configs": 10}

@@ -95,3 +95,70 @@ def test_every_drawn_config_runs_or_is_refused_naming_a_field(cfg):
     assert code in (0, 1, 2)
     if code == 2:
         assert SECTIONS.search(err.getvalue()), err.getvalue()
+
+
+def run_cli(command: str, cfg: dict) -> tuple:
+    """Exit code and stderr of one subcommand on cfg, in a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--config", str(path),
+                             "--out", str(Path(tmp) / "out.csv")])
+    return code, err.getvalue()
+
+
+def rarely(n: int):
+    """True in about one draw of n."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def axis(draw, model, repeat=None):
+    """A sweep axis named 't', after one of the model's params or 'd', or
+    in about half the draws the name given as repeat, with one to three
+    values, any of them maybe invalid."""
+    required, optional = config._MODEL_PARAMS[model]
+    name = draw(st.sampled_from(["t", *required, *optional, "d"]))
+    if repeat is not None and draw(st.booleans()):
+        name = repeat
+    valid = {"t": st.sampled_from([0.0, 0.5, 2.0]),
+             "d": st.floats(0.0, 1.0)}.get(name, VALID.get(name, small_float))
+    value = st.one_of(valid, INVALID) if draw(rarely(10)) else valid
+    return {"name": name, "values": draw(st.lists(value, min_size=1, max_size=3))}
+
+
+SIZES = {"N": st.integers(2, 6), "Nx": st.integers(2, 3), "Ny": st.integers(2, 3)}
+SAFE_RUN = {"initial_state": {"kind": "index", "index": 0},
+            "w_operator": {"kind": "index_projector", "indices": [0]}}
+DISORDER = st.sampled_from([{"d": 0.5, "seed": 3}, {"d": 0.5, "seed0": 1, "n_configs": 2},
+                            {"d1": 0.2, "d2": 0.4, "seed": 3}, {"d": 0.5}])
+
+
+@st.composite
+def sweep_configs(draw):
+    """A config of the first test on a lattice of at least two cells a side,
+    mostly with a state and probe every model has, and a sweep of one or two axes whose names may repeat; some draws
+    set the observable and some add a disorder section, mostly on ssh."""
+    cfg = draw(configs())
+    cfg["params"].update({k: draw(SIZES[k]) for k in sorted(SIZES.keys() & cfg["params"].keys())})
+    if not draw(rarely(4)):
+        cfg.update(SAFE_RUN)
+    cfg["sweep"] = {"axis1": draw(axis(cfg["model"]))}
+    if draw(st.booleans()):
+        cfg["sweep"]["axis2"] = draw(axis(cfg["model"], cfg["sweep"]["axis1"]["name"]))
+    if draw(st.booleans()):
+        cfg["observable"] = {"name": draw(st.sampled_from(config.OBSERVABLES))}
+    if draw(rarely(2 if cfg["model"] == "ssh" else 8)):
+        cfg["disorder"] = draw(DISORDER)
+    return cfg
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(sweep_configs())
+def test_every_drawn_sweep_runs_or_is_refused_naming_a_section(cfg):
+    code, err = run_cli("sweep", cfg)
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert SECTIONS.search(err), err
