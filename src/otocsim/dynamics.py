@@ -68,15 +68,17 @@ class TimeGrid:
 class Propagator:
     """Diagonalized (or exponential-stepping) form of a Hamiltonian.
 
-    kind is "hermitian_spectral" for Hermitian input, which keeps the
-    eigenpairs and names the solver that made them in eigensolver:
-    "tridiagonal" for a real tridiagonal H, "dense" otherwise. "scaled_expm"
-    is for non-Hermitian input; it keeps the dense Hamiltonian and evolves by
-    matrix exponentials: the eigenbasis of a non-Hermitian chain is too ill
-    conditioned to trust; a uniform grid is stepped in giant and baby steps
-    where the probe allows (_series_amplitudes_stepping). "chebyshev" keeps
-    H/scale as a sparse CSR matrix, scale a Gershgorin bound of the spectrum
-    with a rounding margin, and evolves by the Chebyshev series of e^{-iHt}.
+    Every kind answers one question, _amplitudes: the ket and bra amplitudes
+    of a state evolved to each sample time, on the rows asked for. kind is
+    "hermitian_spectral" for Hermitian input, which keeps the eigenpairs and
+    names the solver that made them in eigensolver: "tridiagonal" for a real
+    tridiagonal H, "dense" otherwise. "scaled_expm" is for non-Hermitian
+    input; it keeps the dense Hamiltonian and evolves by matrix exponentials:
+    the eigenbasis of a non-Hermitian chain is too ill conditioned to trust;
+    a uniform grid is stepped in giant and baby steps where few rows are
+    asked for (_stepping_amplitudes). "chebyshev" keeps H/scale as a sparse
+    CSR matrix, scale a Gershgorin bound of the spectrum with a rounding
+    margin, and evolves by the Chebyshev series of e^{-iHt}.
     """
 
     kind: str
@@ -246,7 +248,7 @@ def _bessel_table(M: int, x: np.ndarray) -> np.ndarray:
 
 
 def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
-    """<r| e^{-iH tau} |psi> for the given rows as an n_t x R array, and the
+    """<r| e^{-iH tau} |psi> for the given rows as an R x n_t array, and the
     term count M: sum_{n<M} (2 - delta_n0) (-i)^n J_n(a tau) <r| T_n(H/a) |psi>,
     with the moments from the three-term recurrence on the sparse H/a and
     J_n(-x) = (-1)^n J_n(x) for negative tau."""
@@ -254,7 +256,7 @@ def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
     M = _chebyshev_terms(np.abs(x).max(initial=0.0))
     S = prop.hamiltonian
     prev = psi.astype(complex)
-    moments = np.empty((M,) + prev[rows].shape, dtype=complex)
+    moments = np.empty((M, rows.size), dtype=complex)
     moments[0] = prev[rows]
     cur = S @ prev
     for n in range(1, M):
@@ -264,7 +266,7 @@ def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
     J[1::2, x < 0] *= -1
     n = np.arange(M)
     coef = np.where(n == 0, 1, 2) * np.array([1, -1j, -1, 1j])[n % 4]
-    return J.T @ (coef[:, None] * moments), M
+    return (J.T @ (coef[:, None] * moments)).T, M
 
 
 def _grid_block(tau: np.ndarray) -> int | None:
@@ -307,78 +309,52 @@ def _phase_table(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return table.reshape(lam.size, -1)[:, :tau.size]
 
 
-def _evolve_ket(prop: Propagator, psi: np.ndarray, tau: float) -> np.ndarray:
-    """e^{-i H tau} psi."""
+def _amplitudes(prop: Propagator, psi: np.ndarray, rows: np.ndarray, tau):
+    """The ket amplitudes <r| e^{-iH tau} |psi> and the bra amplitudes
+    <r| e^{-iH^dag tau} |psi> on the given rows as R x n_t arrays, and the
+    metadata of the propagator kind. A Hermitian kind returns one array
+    object for both."""
     if prop.kind == "scaled_expm":
-        return scipy.linalg.expm(-1j * prop.hamiltonian * tau) @ psi
+        f, g, block, formed = _stepping_amplitudes(prop.hamiltonian, psi, rows, tau)
+        return f, g, {"step_block": block, "step_matrices": formed}
     if prop.kind == "chebyshev":
-        amplitudes, _ = _chebyshev_amplitudes(prop, psi, slice(None), np.array([tau]))
-        return amplitudes[0]
-    V = prop.eigenvectors
-    return V @ (np.exp(-1j * prop.eigenvalues * tau) * (V.conj().T @ psi))
-
-
-def _evolve_bra(prop: Propagator, psi: np.ndarray, tau: float) -> np.ndarray:
-    """e^{-i H^dag tau} psi; equals forward evolution for Hermitian H."""
-    if prop.kind == "scaled_expm":
-        return scipy.linalg.expm(-1j * prop.hamiltonian.conj().T * tau) @ psi
-    return _evolve_ket(prop, psi, tau)
+        f, M = _chebyshev_amplitudes(prop, psi, rows, tau)
+        return f, f, {"chebyshev_terms": M, "chebyshev_scale": prop.scale}
+    f = _spectral_rows(prop, psi, rows, tau)
+    return f, f, {"eigensolver": prop.eigensolver}
 
 
 def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:
     """Apply e^{-iHt} (t in units of 1/energy_unit; negative t runs the exact
     inverse). No renormalization is applied."""
-    out = _evolve_ket(prop, state.amplitudes, t / prop.energy_unit)
-    return StateVector(dim=state.dim, amplitudes=out, normalized=False)
+    f, _, _ = _amplitudes(prop, state.amplitudes, np.arange(prop.dim),
+                          np.array([t / prop.energy_unit]))
+    return StateVector(dim=state.dim, amplitudes=f[:, 0], normalized=False)
 
 
 def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
                    t: float) -> complex:
     """s(t) in three matrix-vector stages: evolve the ket, apply W, close with
     the (adjoint-evolved) bra."""
-    tau = t / prop.energy_unit
-    f = _evolve_ket(prop, psi0.amplitudes, tau)
-    g = _evolve_bra(prop, psi0.amplitudes, tau)
-    return complex(np.vdot(g, W.apply(f)))
+    f, g, _ = _amplitudes(prop, psi0.amplitudes, np.arange(prop.dim),
+                          np.array([t / prop.energy_unit]))
+    return complex(np.vdot(g[:, 0], W.apply(f[:, 0])))
 
 
-def _diagonal_weights(prop, w, psi0, tau):
-    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 for a diagonal W and Hermitian H. A
-    support of at most B rows is contracted block by block and never forms
-    the n x n_t phase table; a wider support is one matrix product with the
+def _spectral_rows(prop, psi0, rows, tau):
+    """<r| e^{-iH tau} |psi0> on the given rows of a Hermitian H as an
+    R x n_t array. At most B rows are evolved block by block and never form
+    the n x n_t phase table; more rows take one matrix product with the
     table, which is faster there than the block loop."""
-    rows = np.nonzero(w)[0]
     A = prop.eigenvectors[rows, :] * (prop.eigenvectors.conj().T @ psi0)
     blocks = _phase_blocks(prop.eigenvalues, tau)
     if blocks is None or rows.size > blocks[1].shape[1]:
-        U = A @ _phase_table(prop.eigenvalues, tau)
-    else:
-        coarse, fine = blocks
-        U = np.empty((rows.size, coarse.shape[1], fine.shape[1]), dtype=complex)
-        for b in range(coarse.shape[1]):
-            U[:, b, :] = (A * coarse[:, b]) @ fine
-        U = U.reshape(rows.size, -1)[:, :tau.size]
-    return (w[rows, None] * (np.abs(U) ** 2)).sum(axis=0).astype(complex)
-
-
-def _series_amplitudes_chebyshev(prop, W, psi0, tau):
-    """sum_r w_r |<r| e^{-iHt} |psi0>|^2 over the support rows of a diagonal
-    W, and the Chebyshev term count."""
-    w = W.weights
-    if w is None:
-        raise ValueError("the chebyshev propagator needs a diagonal probe")
-    rows = np.nonzero(w)[0]
-    A, M = _chebyshev_amplitudes(prop, psi0, rows, tau)
-    return (np.abs(A) ** 2 @ w[rows]).astype(complex), M
-
-
-def _series_amplitudes_spectral(prop, W, psi0, tau):
-    if W.weights is not None:
-        return _diagonal_weights(prop, W.weights, psi0, tau)
-    Vh = prop.eigenvectors.conj().T
-    phi = _phase_table(prop.eigenvalues, tau) * (Vh @ psi0)[:, None]
-    Wt = Vh @ W.entries @ prop.eigenvectors
-    return np.einsum("kt,kt->t", np.conj(phi), Wt @ phi)
+        return A @ _phase_table(prop.eigenvalues, tau)
+    coarse, fine = blocks
+    U = np.empty((rows.size, coarse.shape[1], fine.shape[1]), dtype=complex)
+    for b in range(coarse.shape[1]):
+        U[:, b, :] = (A * coarse[:, b]) @ fine
+    return U.reshape(rows.size, -1)[:, :tau.size]
 
 
 def _flush(M: np.ndarray) -> np.ndarray:
@@ -421,23 +397,21 @@ def _stepped_rows(U, UB, start, rows, B, n_t):
     return out.transpose(1, 2, 0).reshape(R, nb * B)[:, :n_t]
 
 
-def _series_amplitudes_stepping(prop, W, psi0, tau):
-    """Ket and bra stepped from t = 0 by matrix exponentials, the baby-step
-    length and the count of matrix exponentials and powers formed.
+def _stepping_amplitudes(H, psi0, rows, tau):
+    """Ket and bra amplitudes on the given rows stepped from t = 0 by matrix
+    exponentials, the baby-step length and the count of matrix exponentials
+    and powers formed.
 
-    On a grid that _grid_block splits into blocks of B, a diagonal W with at
-    most B support rows R takes giant and baby steps: U = e^{-iHh} for the
-    step h = tau[1] - tau[0] (the one the loop makes its factors for), U^B,
-    and for tau[0] != 0 one e^{-iH tau[0]} to reach the first sample, each
-    with its bra factor from _step_factors. Kets and bras are stepped whole
-    only at every B-th sample, and on the rows R in between (_stepped_rows).
-    Any other input takes _step_each_sample."""
-    H = prop.hamiltonian
+    On a grid that _grid_block splits into blocks of B, at most B rows take
+    giant and baby steps: U = e^{-iHh} for the step h = tau[1] - tau[0] (the
+    one the loop makes its factors for), U^B, and for tau[0] != 0 one
+    e^{-iH tau[0]} to reach the first sample, each with its bra factor from
+    _step_factors. Kets and bras are stepped whole only at every B-th
+    sample, and on the rows in between (_stepped_rows). Any other input
+    takes _step_each_sample."""
     B = _grid_block(tau)
-    w = W.weights
-    if B is None or w is None or np.count_nonzero(w) > B:
-        return _step_each_sample(H, W, psi0, tau)
-    rows = np.nonzero(w)[0]
+    if B is None or rows.size > B:
+        return _step_each_sample(H, psi0, rows, tau)
     real = np.isrealobj(H)
     U, Ub = _step_factors(H, tau[1] - tau[0])
     UB = _power(U, B)
@@ -447,7 +421,7 @@ def _series_amplitudes_stepping(prop, W, psi0, tau):
     f = _stepped_rows(U, UB, ket, rows, B, tau.size)
     g = _stepped_rows(Ub, UbB, bra, rows, B, tau.size)
     formed = (1 if real else 2) * (2 if tau[0] == 0 else 3)
-    return (w[rows, None] * np.conj(g) * f).sum(axis=0), B, formed
+    return f, g, B, formed
 
 
 def _step_factors(H, h):
@@ -459,15 +433,15 @@ def _step_factors(H, h):
     return U, _flush(scipy.linalg.expm(-1j * H.conj().T * h))
 
 
-def _step_each_sample(H, W, psi0, tau):
-    """The stepped series sample by sample, as _series_amplitudes_stepping
-    returns it (baby-step length 1). One pair of _step_factors serves every
-    step within _GRID_RTOL*max|tau| of the step it was made for, so a
-    uniform grid from 0 takes one pair; a changed step makes a new pair. A
-    diagonal W acts as its diagonal."""
+def _step_each_sample(H, psi0, rows, tau):
+    """The stepped amplitudes sample by sample, as _stepping_amplitudes
+    returns them (baby-step length 1). One pair of _step_factors serves
+    every step within _GRID_RTOL*max|tau| of the step it was made for, so a
+    uniform grid from 0 takes one pair; a changed step makes a new pair."""
     f = g = psi0.astype(complex)
     tol = _GRID_RTOL * np.abs(tau).max(initial=0.0)
-    out = np.empty(tau.shape, dtype=complex)
+    kets = np.empty((rows.size, tau.size), dtype=complex)
+    bras = np.empty_like(kets)
     h, formed = None, 0
     for k, step in enumerate(np.diff(tau, prepend=0.0)):
         if step != 0.0:
@@ -476,8 +450,8 @@ def _step_each_sample(H, W, psi0, tau):
                 U, Ub = _step_factors(H, h)
                 formed += 1 if np.isrealobj(H) else 2
             f, g = U @ f, Ub @ g
-        out[k] = np.vdot(g, W.apply(f))
-    return out, 1, formed
+        kets[:, k], bras[:, k] = f[rows], g[rows]
+    return kets, bras, 1, formed
 
 
 def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
@@ -486,18 +460,25 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     """O(t) on the whole grid, reusing a single decomposition. An explicit
     times array, uniform or not, overrides the uniform grid.
 
+    The propagator gives the ket and bra amplitudes f and g on the support
+    rows of a diagonal W, or on every row of a dense one (_amplitudes), and
+    they are contracted here: s = sum_r w_r |f_r|^2 for a Hermitian kind,
+    sum_r w_r conj(g_r) f_r for stepping, and sum conj(g) (W f) over the
+    rows for a dense W.
+
     On a uniform grid of n_t >= 4 samples the spectral form evaluates
     2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
     the default 2001 samples, instead of n_t; other grids take n_t per
-    eigenvalue. Stepping a diagonal W with few support rows on such a grid
-    forms e^{-iHh} and its B-th power, B = ceil(sqrt(n_t)), and makes about
-    4*B matrix-vector products; other inputs take one matrix exponential
-    (two for a complex H) per distinct step and two products per sample. The
-    metadata holds B (1 for the sample loop) under step_block and the count
-    of exponentials and powers under step_matrices. The Chebyshev series
-    takes M sparse products for the moments, an M x n_t Bessel table and an
-    n_t x M by M x R product, with M about e * a * max|t| / 2 + 30; on the corner_scan patch (M = 452, 501
-    samples) the sparse products take about 13 ms and the table 11 ms."""
+    eigenvalue. Stepping at most B = ceil(sqrt(n_t)) rows on such a grid
+    forms e^{-iHh} and its B-th power and makes about 4*B matrix-vector
+    products; other inputs take one matrix exponential (two for a complex
+    H) per distinct step and two products per sample. The metadata holds B
+    (1 for the sample loop) under step_block and the count of exponentials
+    and powers under step_matrices. The Chebyshev series takes M sparse
+    products for the moments, an M x n_t Bessel table and an R x M by
+    M x n_t product, with M about e * a * max|t| / 2 + 30; on the
+    corner_scan patch (M = 452, 501 samples) the sparse products take about
+    13 ms and the table 11 ms."""
     if times is None:
         if grid is None:
             grid = TimeGrid()
@@ -505,19 +486,18 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     else:
         times = np.asarray(times, dtype=float)
     tau = times / prop.energy_unit
-    metadata = {"propagator": prop.kind, "energy_unit": prop.energy_unit}
-    if prop.kind == "scaled_expm":
-        s, metadata["step_block"], metadata["step_matrices"] = (
-            _series_amplitudes_stepping(prop, W, psi0.amplitudes, tau))
-    elif prop.kind == "chebyshev":
-        s, metadata["chebyshev_terms"] = _series_amplitudes_chebyshev(
-            prop, W, psi0.amplitudes, tau)
-        metadata["chebyshev_scale"] = prop.scale
+    w = W.weights
+    rows = np.arange(prop.dim) if w is None else np.nonzero(w)[0]
+    f, g, kind_metadata = _amplitudes(prop, psi0.amplitudes, rows, tau)
+    if w is None:
+        s = np.einsum("kt,kt->t", np.conj(g), W.entries @ f)
+    elif g is f:
+        s = (w[rows, None] * (np.abs(f) ** 2)).sum(axis=0).astype(complex)
     else:
-        s = _series_amplitudes_spectral(prop, W, psi0.amplitudes, tau)
-        metadata["eigensolver"] = prop.eigensolver
-    values = np.abs(s) ** 2
-    return OtocSeries(times=times, values=values, amplitudes=s,
+        s = (w[rows, None] * np.conj(g) * f).sum(axis=0)
+    metadata = {"propagator": prop.kind, "energy_unit": prop.energy_unit,
+                **kind_metadata}
+    return OtocSeries(times=times, values=np.abs(s) ** 2, amplitudes=s,
                       metadata=metadata)
 
 

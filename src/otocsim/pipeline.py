@@ -141,7 +141,9 @@ def run_point(cfg: dict, observable: str = "full_series",
     O(t) is sampled on the config's time grid unless explicit times are
     given. The decomposition sees the probe and the times, so it can pick the
     Chebyshev series; an eigenstate psi0 needs the eigenpairs and always
-    takes eigh. The series metadata records the mean and spread of its tail
+    takes eigh. Whatever the propagator, the series evolves psi0 on the
+    support rows of a diagonal probe, or on every row of a dense one. The
+    series metadata records the mean and spread of its tail
     as tail_mean and tail_std. Returns an OtocSeries for "full_series",
     otherwise a float.
     """

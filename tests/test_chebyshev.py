@@ -156,13 +156,18 @@ def test_series_matches_the_closed_form(always_chebyshev):
     assert np.abs(series.values - closed).max() <= 1e-10
 
 
-def test_chebyshev_needs_a_diagonal_probe(always_chebyshev):
-    H = build_ssh(6, 0.6)
-    prop = spectral_decompose(H, probe(H.dim, [0]), np.array([1.0]))
+def test_dense_probe_matches_dense(always_chebyshev):
+    # the series is picked for a diagonal probe, but evolves any row
+    H = LATTICES["haldane"]()
+    t = TIMES["uniform"]
+    cheb = spectral_decompose(H, probe(H.dim, [0]), t)
+    assert cheb.kind == "chebyshev"
     W = OperatorMatrix(dim=H.dim, entries=np.ones((H.dim, H.dim)) / H.dim,
                        opnorm_bound=1.0)
-    with pytest.raises(ValueError, match="diagonal probe"):
-        otoc_series(prop, W, basis_state(H.layout, 1, "A"), times=np.array([1.0]))
+    psi = basis_state(H.layout, (1, 1), "A")
+    got = otoc_series(cheb, W, psi, times=t)
+    want = otoc_series(spectral_decompose(H), W, psi, times=t)
+    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
 
 
 def corner_config():

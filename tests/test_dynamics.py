@@ -343,13 +343,14 @@ def test_diagonal_probe_series_matches_pointwise(rng, support, monkeypatch):
     w = np.zeros(H.dim)
     w[rng.choice(H.dim, size=count, replace=False)] = rng.uniform(0.1, 1.0, count)
     W = OperatorMatrix(dim=H.dim, entries=np.diag(w), opnorm_bound=1.0)
+    # the pointwise path builds a one-column table for each time
+    want = pointwise_amplitudes(prop, W, psi, times)
     if count <= 23:
-        # small supports are contracted block by block, without the table
+        # small supports are evolved block by block, without the table
         def no_table(lam, tau):
             raise AssertionError("phase table built for a small support")
         monkeypatch.setattr(dynamics, "_phase_table", no_table)
     series = otoc_series(prop, W, psi, times=times)
-    want = pointwise_amplitudes(prop, W, psi, times)
     assert np.abs(series.amplitudes - want).max() <= 1e-12
 
 
@@ -460,9 +461,13 @@ def stepped(H, W, psi, times):
     prop = spectral_decompose(H)
     assert prop.kind == "scaled_expm"
     tau = np.asarray(times) / H.energy_unit
-    loop, block, _ = dynamics._step_each_sample(prop.hamiltonian, W,
-                                                psi.amplitudes, tau)
+    w = W.weights
+    rows = np.arange(H.dim) if w is None else np.nonzero(w)[0]
+    f, g, block, _ = dynamics._step_each_sample(prop.hamiltonian,
+                                                psi.amplitudes, rows, tau)
     assert block == 1
+    loop = (np.einsum("kt,kt->t", np.conj(g), W.entries @ f) if w is None
+            else (w[rows, None] * np.conj(g) * f).sum(axis=0))
     return otoc_series(prop, W, psi, times=times), loop
 
 
@@ -528,3 +533,59 @@ def test_other_stepping_inputs_take_the_sample_loop(case):
     # a real H takes its bra factor as the transpose: one exponential a step
     assert series.metadata["step_matrices"] == (5 if case == "nonuniform" else 1)
     np.testing.assert_array_equal(series.amplitudes, loop)
+
+
+def phase_rotated(H):
+    """P H P^dag with the diagonal unitary P = diag(e^{0.7ij}): complex, and
+    non-Hermitian where H is."""
+    phase = np.exp(0.7j * np.arange(H.dim))
+    return HamiltonianMatrix(dim=H.dim, entries=phase[:, None] * H.entries * phase.conj(),
+                             hermitian=H.hermitian, layout=H.layout)
+
+
+ORACLE_KINDS = {       # every chain has dim 32; (H, kind, eigensolver)
+    "tridiagonal": lambda: (build_ssh(16, 0.6), "hermitian_spectral", "tridiagonal"),
+    "dense": lambda: (build_creutz(16, 1.0, 0.5), "hermitian_spectral", "dense"),
+    "chebyshev": lambda: (build_creutz(16, 1.0, 0.5), "chebyshev", None),
+    "stepping_real": lambda: (build_nonhermitian_ssh(16, 1.1, 0.4), "scaled_expm", None),
+    "stepping_complex": lambda: (phase_rotated(build_nonhermitian_ssh(16, 1.1, 0.4)),
+                                 "scaled_expm", None),
+}
+ORACLE_PROBES = {
+    "one_row": lambda layout: site_projector(layout, [[1, "A"]]),
+    # all 32 rows, more than the B = 23 of the uniform grid
+    "wide": lambda layout: OperatorMatrix(dim=layout.dim, opnorm_bound=1.0,
+                                          weights=np.linspace(-1.0, 1.0, layout.dim)),
+    "dense_j2": lambda layout: chiral_partial(layout, j=2),
+}
+ORACLE_TIMES = {
+    "uniform": np.arange(501) * 0.2,
+    "nonuniform": np.array([0.0, 0.05, 0.3, 1.7, 2.0, 9.5, 40.0, 41.3]),
+}
+
+
+@pytest.mark.parametrize("times", sorted(ORACLE_TIMES))
+@pytest.mark.parametrize("probe", sorted(ORACLE_PROBES))
+@pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
+def test_every_propagator_matches_the_trace_oracle(monkeypatch, kind, probe, times):
+    H, want_kind, want_solver = ORACLE_KINDS[kind]()
+    W = ORACLE_PROBES[probe](H.layout)
+    t = ORACLE_TIMES[times]
+    if kind == "chebyshev":
+        # a zero cost constant makes the rule pick the series; it is picked
+        # for a diagonal probe, but serves any
+        monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0)
+        prop = spectral_decompose(H, site_projector(H.layout, [[1, "A"]]), t)
+    else:
+        prop = spectral_decompose(H)
+    assert (prop.kind, prop.eigensolver) == (want_kind, want_solver)
+    amplitudes = np.zeros(H.dim, dtype=complex)
+    amplitudes[[0, 3]] = [0.6, 0.8j]
+    psi = StateVector(dim=H.dim, amplitudes=amplitudes)
+    # the oracle takes two exponentials a sample: on the long grid it checks
+    # every 10th
+    checked = slice(None, None, 10 if t.size > 100 else 1)
+    got = otoc_series(prop, W, psi, times=t).values[checked]
+    rho = np.outer(amplitudes, amplitudes.conj())
+    want = np.array([otoc_trace_oracle(H, W.entries, rho, s) for s in t[checked]])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, want))
