@@ -12,6 +12,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import sys
 
 OBSERVABLES = ("long_time_limit", "time_average", "full_series")
@@ -33,6 +34,12 @@ _MODEL_PARAMS = {
     "extended_chain": (("N", "nu"), ("epsilon",)),
 }
 _INT_PARAMS = {"N", "Nx", "Ny"}
+# Sites per cell of each model's lattice (the extended chain has one more in
+# all). numpy makes no array of more than sys.maxsize (np.iinfo(np.intp).max)
+# bytes, so a lattice whose complex vector would pass that is refused here.
+_CELL_SITES = {"ssh": 2, "nonhermitian_ssh": 2, "creutz": 2, "haldane": 2,
+               "qwz": 2, "ssh2d": 4, "extended_chain": 2}
+_MAX_SITES = sys.maxsize // 16
 _POSITIVE_PARAMS = {"epsilon", "w"}
 
 _TOP_KEYS = ("model", "params", "disorder", "initial_state", "w_operator",
@@ -141,6 +148,22 @@ _W_FIELDS = {
 }
 
 
+def _check_lattice(model: str, params: dict, axes=()) -> None:
+    """The lattice of params, with each sweep axis (label, axis) over N, Nx
+    or Ny at its largest value, has at most _MAX_SITES sites; a larger one
+    is refused naming the fields that size it. A smaller one that memory
+    cannot hold fails when it is built, as a MemoryError."""
+    size = {key: (value, f"params.{key}")
+            for key, value in params.items() if key in _INT_PARAMS}
+    for label, axis in axes:
+        if axis["name"] in _INT_PARAMS:
+            size[axis["name"]] = (int(max(axis["values"])), f"sweep.{label}.values")
+    if _CELL_SITES[model] * math.prod(n for n, _ in size.values()) > _MAX_SITES:
+        fields = " and ".join(where for _, where in size.values())
+        raise ConfigError(f"{fields}: a lattice of more than {_MAX_SITES} sites "
+                          "is more than numpy can index")
+
+
 def _validate_model(cfg: dict) -> None:
     model = _choice(cfg.get("model"), "model", sorted(_MODEL_PARAMS))
     params = _require_mapping(cfg.get("params", {}), "params")
@@ -148,6 +171,7 @@ def _validate_model(cfg: dict) -> None:
     _check_keys(params, "params", required, optional)
     for key, value in list(params.items()):
         params[key] = _param(model, key, value, f"params.{key}")
+    _check_lattice(model, params)
     cfg["params"] = params
 
 
@@ -263,6 +287,7 @@ def _validate_sweep(cfg: dict, model: str) -> None:
                           for i, v in enumerate(values)]
     if cfg["observable"]["name"] == "full_series" and "t" not in names:
         raise ConfigError("observable.name 'full_series' needs a sweep axis named 't'")
+    _check_lattice(model, cfg["params"], sweep.items())
     cfg["sweep"] = sweep
 
 

@@ -22,23 +22,25 @@ TAIL_FRACTION = 0.5          # the trailing share of a series long_time_limit av
 # The Chebyshev series replaces eigh when _CHEBYSHEV_COST * M * n_t * R is
 # below the price of eigh: dim^3 for dense eigh, _TRIDIAGONAL_COST * dim^2
 # for the tridiagonal solver (M terms, n_t samples, R support rows of a
-# diagonal W). Timed with one BLAS thread on ssh2d patches with a one-row
-# probe and 501 samples (M = 452), decomposition plus series cost about
-# 85 ns per term and sample by the series and 0.28 ns per dim^3 by dense
-# eigh at dim 400, where the two break even (C = 310). The break-even C is
-# 90-210 at dim 144-256 and 560-1350 at dim 576-1600, so 300 picks the
-# faster path at each size. On clean ssh chains with a site probe the
-# tridiagonal solver plus its series takes 11, 74, 216 and 369 ms at dim
-# 400, 1000, 1600 and 2000 (70-90 ns, or 250-330 of the dense units, per
-# dim^2), against 77, 129, 176 and 192 ms for the series with 2001 samples
-# (M = 847): the break-even lies between dim 1000 and 1600, and 300 per
-# dim^2 puts it at dim 1300. A corner_scan point weighs 6.8e7 against
-# dim^3 = 4.1e9, a disorder_sweep member (dim 400, 2001 samples, M = 1674)
-# 1.0e9 against 300 * dim^2 = 4.8e7.
+# diagonal W). Both constants were set when the series summed an M x n_t
+# Bessel table, at 85 ns per term and sample. They are unchanged, and the
+# quadrature that replaced the table is 2-6x faster, so the rule now leans
+# toward eigh. Timed with one BLAS thread on ssh2d patches with a one-row
+# probe and 501 samples (M = 452), decomposition plus series take 4.7-5.0 ms
+# by the series at dim 144-576 (21-22 ns per term and sample) and 9.5 ms at
+# dim 1600 (42 ns), against 1.6, 6.6 and 18 ms by dense eigh at dim 144, 256
+# and 400 (0.28-0.55 ns per dim^3). The break-even C is now 40-130 at dim
+# 144-1024, so 300 keeps eigh at dim 256 and 400, where the series is 1.4x
+# and 3.6x faster. On clean ssh chains with a site probe the tridiagonal
+# solver plus its series takes 13, 59, 201 and 308 ms at dim 400, 1000, 1600
+# and 2000 (60-80 ns per dim^2), against 17, 18, 20 and 22 ms for the series
+# with 2001 samples (M = 847): the break-even lies between dim 400 and 1000,
+# and 300 per dim^2 puts it at dim 1300. A corner_scan point weighs 6.8e7
+# against dim^3 = 4.1e9, a disorder_sweep member (dim 400, 2001 samples,
+# M = 1674) 1.0e9 against 300 * dim^2 = 4.8e7.
 _CHEBYSHEV_COST = 300
 _TRIDIAGONAL_COST = 300
 _CHEBYSHEV_TOL = 1e-15      # bound on the dropped tail of each amplitude
-_BESSEL_RESCALE = 1e250
 _SUBNORMAL_FLOOR = math.sqrt(np.finfo(float).tiny)   # about 1.5e-154
 
 
@@ -217,56 +219,62 @@ def _chebyshev_terms(x: float) -> int:
     return n
 
 
-def _bessel_table(M: int, x: np.ndarray) -> np.ndarray:
-    """J_n(x) for n < M and x >= 0, as an M x n_x table, by Miller's backward
-    recurrence J_{n-1} = (2n/x) J_n - J_{n+1}, started at order
-    max(M, _chebyshev_terms(max x)) and normalized by J_0 + 2 sum_k J_2k = 1.
-    A column passing _BESSEL_RESCALE is scaled down together with its stored
-    orders. At x <= 1e-20 the table holds J_0 = 1 and zeros (off by < x/2)."""
-    J = np.zeros((M, x.size))
-    J[0] = 1.0
-    live = x > 1e-20
-    xs = x[live]
-    if xs.size == 0:
-        return J
-    out = np.zeros((M, xs.size))
-    nxt, cur, norm = np.zeros(xs.size), np.ones(xs.size), np.zeros(xs.size)
-    for n in range(max(M, _chebyshev_terms(xs.max())), 0, -1):
-        if n < M:
-            out[n] = cur
-        if n % 2 == 0:
-            norm += 2 * cur
-        nxt, cur = cur, (2 * n / xs) * cur - nxt
-        big = np.abs(cur) > _BESSEL_RESCALE
-        if big.any():
-            for v in (cur, nxt, norm):
-                v[big] /= _BESSEL_RESCALE
-            out[n:, big] /= _BESSEL_RESCALE
-    out[0] = cur
-    J[:, live] = out / (norm + cur)
-    return J
-
-
 def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
     """<r| e^{-iH tau} |psi> for the given rows as an R x n_t array, and the
-    term count M: sum_{n<M} (2 - delta_n0) (-i)^n J_n(a tau) <r| T_n(H/a) |psi>,
-    with the moments from the three-term recurrence on the sparse H/a and
-    J_n(-x) = (-1)^n J_n(x) for negative tau."""
-    x = prop.scale * tau
-    M = _chebyshev_terms(np.abs(x).max(initial=0.0))
+    term count M: the moments mu_n = <r| T_n(H/a) |psi> for n < M from the
+    three-term recurrence on the sparse H/a, in float64 where H and psi are
+    real, summed over by _chebyshev_sum."""
+    M = _chebyshev_terms(prop.scale * np.abs(tau).max(initial=0.0))
     S = prop.hamiltonian
-    prev = psi.astype(complex)
-    moments = np.empty((M, rows.size), dtype=complex)
+    real = np.isrealobj(S.data) and not np.imag(psi).any()
+    prev = psi.real.astype(float) if real else psi.astype(complex)
+    moments = np.empty((M, rows.size), dtype=prev.dtype)
     moments[0] = prev[rows]
     cur = S @ prev
     for n in range(1, M):
         moments[n] = cur[rows]
         prev, cur = cur, 2 * (S @ cur) - prev
-    J = _bessel_table(M, np.abs(x))
-    J[1::2, x < 0] *= -1
+    return _chebyshev_sum(moments, prop.scale, tau), M
+
+
+def _chebyshev_sum(mu: np.ndarray, a: float, tau: np.ndarray) -> np.ndarray:
+    """The truncated series sum_{n<M} (2 - delta_n0) (-i)^n J_n(a tau) mu_n
+    of the M x R moments mu, as an R x n_t array, evaluated as a
+    Chebyshev-Gauss quadrature. With theta_k = pi (k + 1/2)/M for k < M and
+    the node weights g_k = mu_0 + 2 sum_{n>=1} mu_n cos(n theta_k) (_dct3),
+    it is the spectral form (1/M) sum_k g_k exp(-i a cos(theta_k) tau),
+    which _phase_sum evaluates with the M nodes a cos(theta_k) in place of
+    eigenvalues, at either sign of tau. A sample at tau = 0 is mu_0, as the
+    series gives it (J_n(0) = 0 for n > 0), not the rounded sum of M weights.
+
+    Error bound: by Jacobi-Anger, exp(-i x cos theta) = sum_m (2 - delta_m0)
+    (-i)^m J_m(x) cos(m theta). The nodes are discretely orthogonal: for
+    n < M, (1/M) sum_k cos(n theta_k) cos(m theta_k) is 1 at m = n = 0, 1/2
+    at m = n > 0, (-1)^j times that at m = 2jM +- n and 0 at any other m.
+    So the quadrature is the truncated series plus each order m > M folded
+    onto the one n < M it aliases (m = 2jM +- n >= M + 1), and an order m
+    moves an amplitude by at most 2 |J_m(x)| |mu_n|. With |mu_n| <= 1 for a
+    unit psi, those orders are within the tail that _chebyshev_terms bounds
+    by _CHEBYSHEV_TOL: the quadrature is within _CHEBYSHEV_TOL of the
+    truncated series, and within 2 * _CHEBYSHEV_TOL of e^{-iH tau}."""
+    M = mu.shape[0]
+    g = _dct3(mu) if np.isrealobj(mu) else _dct3(mu.real) + 1j * _dct3(mu.imag)
+    nodes = a * np.cos(np.pi * (np.arange(M) + 0.5) / M)
+    f = _phase_sum(g.T / M, nodes, tau)
+    f[:, tau == 0] = mu[0, :, None]
+    return f
+
+
+def _dct3(mu: np.ndarray) -> np.ndarray:
+    """g_k = mu_0 + 2 sum_{n>=1} mu_n cos(n theta_k), theta_k = pi (k + 1/2)/M,
+    along the first axis of a real M x R array: the real part of
+    sum_n (2 - delta_n0) mu_n exp(-i pi n/(2M)) exp(-2 pi i n k/(2M)), one
+    FFT of length 2M (numpy.fft: importing scipy.fft would add about 0.08 s
+    to every CLI run)."""
+    M = mu.shape[0]
     n = np.arange(M)
-    coef = np.where(n == 0, 1, 2) * np.array([1, -1j, -1, 1j])[n % 4]
-    return (J.T @ (coef[:, None] * moments)).T, M
+    twiddle = np.where(n == 0, 1.0, 2.0) * np.exp(-0.5j * np.pi * n / M)
+    return np.fft.fft(twiddle[:, None] * mu, n=2 * M, axis=0)[:M].real
 
 
 def _grid_block(tau: np.ndarray) -> int | None:
@@ -309,6 +317,21 @@ def _phase_table(lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return table.reshape(lam.size, -1)[:, :tau.size]
 
 
+def _phase_sum(A: np.ndarray, lam: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """sum_k A[r, k] exp(-i lam_k tau) for each row r of the R x n array A,
+    as an R x n_t array. At most B rows are evolved block by block and never
+    form the n x n_t phase table; more rows take one matrix product with the
+    table, which is faster there than the block loop."""
+    blocks = _phase_blocks(lam, tau)
+    if blocks is None or A.shape[0] > blocks[1].shape[1]:
+        return A @ _phase_table(lam, tau)
+    coarse, fine = blocks
+    U = np.empty((A.shape[0], coarse.shape[1], fine.shape[1]), dtype=complex)
+    for b in range(coarse.shape[1]):
+        U[:, b, :] = (A * coarse[:, b]) @ fine
+    return U.reshape(A.shape[0], -1)[:, :tau.size]
+
+
 def _amplitudes(prop: Propagator, psi: np.ndarray, rows: np.ndarray, tau):
     """The ket amplitudes <r| e^{-iH tau} |psi> and the bra amplitudes
     <r| e^{-iH^dag tau} |psi> on the given rows as R x n_t arrays, and the
@@ -343,18 +366,10 @@ def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
 
 def _spectral_rows(prop, psi0, rows, tau):
     """<r| e^{-iH tau} |psi0> on the given rows of a Hermitian H as an
-    R x n_t array. At most B rows are evolved block by block and never form
-    the n x n_t phase table; more rows take one matrix product with the
-    table, which is faster there than the block loop."""
+    R x n_t array: the eigenvector rows weighted by the overlaps of psi0,
+    summed over the eigenvalues by _phase_sum."""
     A = prop.eigenvectors[rows, :] * (prop.eigenvectors.conj().T @ psi0)
-    blocks = _phase_blocks(prop.eigenvalues, tau)
-    if blocks is None or rows.size > blocks[1].shape[1]:
-        return A @ _phase_table(prop.eigenvalues, tau)
-    coarse, fine = blocks
-    U = np.empty((rows.size, coarse.shape[1], fine.shape[1]), dtype=complex)
-    for b in range(coarse.shape[1]):
-        U[:, b, :] = (A * coarse[:, b]) @ fine
-    return U.reshape(rows.size, -1)[:, :tau.size]
+    return _phase_sum(A, prop.eigenvalues, tau)
 
 
 def _flush(M: np.ndarray) -> np.ndarray:
@@ -475,10 +490,12 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     H) per distinct step and two products per sample. The metadata holds B
     (1 for the sample loop) under step_block and the count of exponentials
     and powers under step_matrices. The Chebyshev series takes M sparse
-    products for the moments, an M x n_t Bessel table and an R x M by
-    M x n_t product, with M about e * a * max|t| / 2 + 30; on the
-    corner_scan patch (M = 452, 501 samples) the sparse products take about
-    13 ms and the table 11 ms."""
+    products for the moments (in real arithmetic where H and psi0 are real),
+    one FFT of length 2M per row for the quadrature weights and the spectral
+    form over M nodes, with M about e * a * max|t| / 2 + 30; on the
+    corner_scan patch (M = 452, 501 samples, one BLAS thread) the sparse
+    products take about 6-8 ms, the FFT 0.1 ms and the phase sum about 1 ms,
+    where the Bessel table it replaced took 11 ms."""
     if times is None:
         if grid is None:
             grid = TimeGrid()

@@ -1,5 +1,6 @@
-"""The Chebyshev propagator: its Bessel table, its agreement with dense
-eigh, and the cost rule that picks it inside run_point."""
+"""The Chebyshev propagator: its quadrature against the Bessel sum it
+evaluates, its term count, its agreement with dense eigh on real and complex
+moments, and the cost rule that picks it inside run_point."""
 
 import json
 import math
@@ -26,13 +27,23 @@ def always_chebyshev(monkeypatch):
     monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0)
 
 
-def test_bessel_table_matches_scipy():
-    x = np.concatenate([[0.0, 1e-25, 1e-12, 1e-5, 0.3], np.linspace(0.0, 1e3, 2001)])
-    M = dynamics._chebyshev_terms(x.max())
-    want = scipy.special.jv(np.arange(M)[:, None], x[None, :])
-    got = dynamics._bessel_table(M, x)
-    assert got.shape == (M, x.size)
-    assert np.abs(got - want).max() <= 1e-13
+@pytest.mark.parametrize("x", [0.0, 1e-8, 0.6, 31.0, 310.0, 1000.0])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_quadrature_matches_the_bessel_sum(x, dtype):
+    # random moments with |mu_n| <= 1, at x, -x and inside, and on a uniform
+    # grid long enough for the block loop
+    rng = np.random.default_rng(int(x) + 11)
+    M = dynamics._chebyshev_terms(x)
+    mu = rng.uniform(-1, 1, (M, 3))
+    if dtype is complex:
+        mu = mu * np.exp(2j * np.pi * rng.random((M, 3)))
+    n = np.arange(M)
+    coef = np.where(n == 0, 1, 2) * (-1j) ** (n % 4)
+    for tau in (np.array([x, -x, x / 3, 0.0]), np.linspace(-x, x, 9)):
+        want = (scipy.special.jv(n[None, :], tau[:, None]) @ (coef[:, None] * mu)).T
+        got = dynamics._chebyshev_sum(mu, 1.0, tau)
+        assert got.shape == (3, tau.size)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-8, 0.6, 31.0, 310.0, 1000.0])
@@ -117,6 +128,30 @@ def test_scale_bounds_the_spectrum(always_chebyshev, model):
     largest = max(math.fsum(row) for row in per_row)
     assert largest <= prop.scale <= largest * (1 + 1e-12)
     assert np.abs(np.linalg.eigvalsh(H.entries)).max() <= prop.scale
+
+
+def test_real_and_complex_moments_agree(always_chebyshev, monkeypatch):
+    # psi0 and exp(i phi) psi0 give one O(t); the first takes float64 moments
+    H = SCALED["ssh2d"]()
+    W = probe(H.dim, [2])
+    t = TIMES["uniform"]
+    prop = spectral_decompose(H, W, t)
+    amplitudes = np.zeros(H.dim, dtype=complex)
+    amplitudes[0] = 1.0                         # the corner site
+    psi = StateVector(dim=H.dim, amplitudes=amplitudes)
+    turned = StateVector(dim=H.dim, amplitudes=np.exp(0.7j) * amplitudes)
+    dtypes = []
+    original = dynamics._chebyshev_sum
+
+    def record(mu, *args):
+        dtypes.append(mu.dtype)
+        return original(mu, *args)
+
+    monkeypatch.setattr(dynamics, "_chebyshev_sum", record)
+    plain = otoc_series(prop, W, psi, times=t)
+    phased = otoc_series(prop, W, turned, times=t)
+    assert dtypes == [np.float64, np.complex128]
+    assert np.abs(plain.values - phased.values).max() <= 1e-12
 
 
 @pytest.mark.parametrize("H, flavor", [(build_ssh(12, 0.6), "ssh_A"),

@@ -146,6 +146,9 @@ def test_out_of_range_index_names_the_field(tmp_path, capsys, section, spec,
      "cell 21 out of range"),
     ({"time_grid": {"t_max": 1.0, "dt": 0.3}}, "time_grid.dt"),
     ({"params": {"N": 1, "nu": 0.5}, "disorder": {"d": 1.0, "seed": 3}}, "params.N"),
+    ({"params": {"N": 1e20, "nu": 0.5}}, "params.N"),
+    ({"model": "ssh2d", "params": {"Nx": 1e20, "Ny": 4, "nu_p": 0.5, "w": 1.0}},
+     "params.Nx"),
 ])
 def test_config_errors_exit_2_under_otoc_and_sweep(tmp_path, capsys,
                                                    overrides, message):

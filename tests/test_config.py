@@ -77,6 +77,20 @@ def test_integer_parameters_accept_whole_floats_only():
         validate_config(minimal(params={"N": 200.5, "nu": 0.5}))
 
 
+def test_lattices_numpy_cannot_index_are_refused_naming_the_fields():
+    # 2^59 - 1 sites is the most whose complex vector numpy can make
+    square = {"Nx": 2 ** 28, "Ny": 2 ** 29 - 1, "nu_p": 0.5, "w": 1.0}
+    validate_config(minimal(model="ssh2d", params=square))
+    validate_config(minimal(params={"N": 2 ** 58 - 1, "nu": 0.5}))
+    with pytest.raises(ConfigError, match=r"params\.N:"):
+        validate_config(minimal(params={"N": 2 ** 58, "nu": 0.5}))
+    with pytest.raises(ConfigError, match=r"params\.Nx and params\.Ny:"):
+        validate_config(minimal(model="ssh2d", params=dict(square, Ny=2 ** 29)))
+    axis = {"axis1": {"name": "Ny", "values": [4, 2 ** 30]}}
+    with pytest.raises(ConfigError, match=r"params\.Nx and sweep\.axis1\.values:"):
+        validate_config(minimal(model="ssh2d", params=square, sweep=axis))
+
+
 def test_positivity_constraints():
     with pytest.raises(ConfigError, match="params.epsilon"):
         validate_config(minimal(params={"N": 20, "nu": 0.5, "epsilon": 0.0}))
