@@ -21,11 +21,11 @@ _GRID_RTOL = 1e-13
 TAIL_FRACTION = 0.5          # the trailing share of a series long_time_limit averages
 # The Chebyshev series replaces eigh when _CHEBYSHEV_COST * M * n_t * R is
 # below the price of eigh: dim^3 for dense eigh, _TRIDIAGONAL_COST * dim^2
-# for the tridiagonal solver (M terms, n_t samples, R support rows of a
-# diagonal W). Both constants were set when the series summed an M x n_t
-# Bessel table, at 85 ns per term and sample. They are unchanged, and the
-# quadrature that replaced the table is 2-6x faster, so the rule now leans
-# toward eigh. Timed with one BLAS thread on ssh2d patches with a one-row
+# for the tridiagonal solver (M terms, n_t samples, R support rows of W).
+# Both constants were set when the series summed an M x n_t Bessel table,
+# at 85 ns per term and sample. They are unchanged, and the quadrature
+# that replaced the table is 2-6x faster, so the rule now leans toward
+# eigh. Timed with one BLAS thread on ssh2d patches with a one-row
 # probe and 501 samples (M = 452), decomposition plus series take 4.7-5.0 ms
 # by the series at dim 144-576 (21-22 ns per term and sample) and 9.5 ms at
 # dim 1600 (42 ns), against 1.6, 6.6 and 18 ms by dense eigh at dim 144, 256
@@ -125,9 +125,9 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
     O(dim^3) reduction and is 3x faster at dim 400, 15x at dim 2000. MRRR
     (?stemr) is slower here: 19 ms against 6 ms at dim 400.
 
-    Given the probe W and the times it is sampled at, a Hermitian H with a
-    diagonal W takes the Chebyshev series instead where the cost rule at
-    _CHEBYSHEV_COST favours it. H is finite, as its build checks."""
+    Given the probe W and the times it is sampled at, a Hermitian H takes
+    the Chebyshev series instead where the cost rule at _CHEBYSHEV_COST
+    favours it. H is finite, as its build checks."""
     if not H.hermitian:
         return Propagator(kind="scaled_expm", dim=H.dim,
                           energy_unit=H.energy_unit, hamiltonian=H.entries)
@@ -165,30 +165,33 @@ def _tridiagonal_band(H: HamiltonianMatrix):
     return d, e
 
 
-def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
-                          times: np.ndarray, tridiagonal: bool):
-    """The Chebyshev propagator of a Hermitian H for the probe W, or None
-    where eigh is cheaper, W is not diagonal or the scale overflows. eigh is
-    priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H. As
-    M > x = a max|t|, work * x at that price rules the series out before the
-    search for M, which would not end for a huge x (or an infinite one).
+def gershgorin_bound(H: HamiltonianMatrix) -> float:
+    """A bound of the spectrum of H by Gershgorin (||H||_inf, also for a
+    non-Hermitian H): the largest sum of |H_ij| over a row, raised by the
+    factor 1 + (k + 1) eps for the rounding, with k the most entries stored
+    in one row and eps the spacing of floats at 1; 1 for a zero H.
 
-    The scale bounds the spectrum by Gershgorin: the largest sum of |H_ij|
-    over a row, raised by the factor 1 + (k + 1) eps for the rounding, with
-    k the most entries stored in one row and eps the spacing of floats at 1.
     Each |H_ij| is within a relative eps of its true value (exact if real),
     and each of the at most k - 1 additions of nonnegative terms loses at
     most a relative eps/2 whatever their order. So a computed row sum is at
     least the true one times 1 - (k + 1) eps/2, and the factor, itself
-    exact, more than makes up for that and for the rounding of the product.
-    The CSR matrix holds the triplets of H."""
-    if W.weights is None:
-        return None
+    exact, more than makes up for that and for the rounding of the product."""
     sums = np.bincount(H.rows, weights=np.abs(H.values), minlength=H.dim)
     k = np.bincount(H.rows, minlength=H.dim).max()
-    scale = float(sums.max() * (1 + (k + 1) * np.finfo(float).eps)) or 1.0
+    return float(sums.max() * (1 + (k + 1) * np.finfo(float).eps)) or 1.0
+
+
+def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
+                          times: np.ndarray, tridiagonal: bool):
+    """The Chebyshev propagator of a Hermitian H for the R support rows of
+    the probe W, or None where eigh is cheaper or the scale overflows. eigh
+    is priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H. As
+    M > x = a max|t|, work * x at that price rules the series out before the
+    search for M, which would not end for a huge x (or an infinite one). The
+    scale a is gershgorin_bound(H); the CSR matrix holds the triplets of H/a."""
+    scale = gershgorin_bound(H)
     x_max = scale * (np.abs(times).max(initial=0.0) / H.energy_unit)
-    work = _CHEBYSHEV_COST * times.size * np.count_nonzero(W.weights)
+    work = _CHEBYSHEV_COST * times.size * W.support.size
     eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
     if not work * x_max < eigh_cost or work * _chebyshev_terms(x_max) >= eigh_cost:
         return None
@@ -357,11 +360,11 @@ def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:
 
 def otoc_amplitude(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
                    t: float) -> complex:
-    """s(t) in three matrix-vector stages: evolve the ket, apply W, close with
-    the (adjoint-evolved) bra."""
-    f, g, _ = _amplitudes(prop, psi0.amplitudes, np.arange(prop.dim),
+    """s(t) at one time: the ket and the (adjoint-evolved) bra on the support
+    rows of W, closed by W.contract."""
+    f, g, _ = _amplitudes(prop, psi0.amplitudes, W.support,
                           np.array([t / prop.energy_unit]))
-    return complex(np.vdot(g[:, 0], W.apply(f[:, 0])))
+    return complex(W.contract(g, f)[0])
 
 
 def _spectral_rows(prop, psi0, rows, tau):
@@ -476,10 +479,9 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     times array, uniform or not, overrides the uniform grid.
 
     The propagator gives the ket and bra amplitudes f and g on the support
-    rows of a diagonal W, or on every row of a dense one (_amplitudes), and
-    they are contracted here: s = sum_r w_r |f_r|^2 for a Hermitian kind,
-    sum_r w_r conj(g_r) f_r for stepping, and sum conj(g) (W f) over the
-    rows for a dense W.
+    rows of W (_amplitudes), whatever W is, and W.contract closes them:
+    s = sum_ij conj(g_i) W_ij f_j, which for a diagonal W is
+    sum_r w_r |f_r|^2 on a Hermitian kind.
 
     On a uniform grid of n_t >= 4 samples the spectral form evaluates
     2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
@@ -503,15 +505,8 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     else:
         times = np.asarray(times, dtype=float)
     tau = times / prop.energy_unit
-    w = W.weights
-    rows = np.arange(prop.dim) if w is None else np.nonzero(w)[0]
-    f, g, kind_metadata = _amplitudes(prop, psi0.amplitudes, rows, tau)
-    if w is None:
-        s = np.einsum("kt,kt->t", np.conj(g), W.entries @ f)
-    elif g is f:
-        s = (w[rows, None] * (np.abs(f) ** 2)).sum(axis=0).astype(complex)
-    else:
-        s = (w[rows, None] * np.conj(g) * f).sum(axis=0)
+    f, g, kind_metadata = _amplitudes(prop, psi0.amplitudes, W.support, tau)
+    s = W.contract(g, f)
     metadata = {"propagator": prop.kind, "energy_unit": prop.energy_unit,
                 **kind_metadata}
     return OtocSeries(times=times, values=np.abs(s) ** 2, amplitudes=s,

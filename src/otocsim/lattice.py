@@ -6,7 +6,8 @@ lays them out by vectorized indexing and returns the nonzero entries as
 row-major (row, col, value) triplets, with entries that land on one position
 summed in the order they were placed and zeros dropped. Builders wrap the
 triplets in :class:`HamiltonianMatrix`, which builds the dense matrix only
-when a caller asks for it. Site indexing is row-major, cell-major with the
+when a caller asks for it; probes (``operators.OperatorMatrix``) share the
+same triplet form. Site indexing is row-major, cell-major with the
 sublattice index innermost: cell n (1-based) with sublattice s occupies row
 ``(n-1)*n_sub + s``; :class:`LatticeLayout` and ``_tile`` are the only places
 that compute it.
@@ -132,19 +133,14 @@ class DisorderConfig:
             raise ValueError("need one intracell draw per cell and one intercell draw per bond")
 
 
-class HamiltonianMatrix:
-    """Hamiltonian with its layout and the energy scale that sets the time
-    unit (times are handled in units of 1/energy_unit).
+class TripletMatrix:
+    """A dim x dim matrix held as its nonzero entries: the arrays rows, cols
+    and values in row-major order with no position twice, as ``_tile``
+    emits them. A dense ``entries`` given instead is reduced to that form
+    here. The dense matrix, ``entries``, is built from the triplets on first
+    use and kept."""
 
-    The matrix is held as its nonzero entries, the arrays rows, cols and
-    values in row-major order with no position twice, as ``_tile`` emits
-    them. A dense ``entries`` given instead is reduced to that form here.
-    The dense matrix, ``entries``, is built from the triplets on first use
-    and kept. A non-finite entry raises FloatingPointError here.
-    """
-
-    def __init__(self, dim: int, *, hermitian: bool, layout: LatticeLayout,
-                 energy_unit: float = 1.0, entries=None, triplets=None):
+    def __init__(self, dim: int, *, entries=None, triplets=None):
         if (entries is None) == (triplets is None):
             raise ValueError("give either entries or triplets")
         if entries is not None:
@@ -154,21 +150,40 @@ class HamiltonianMatrix:
             rows, cols = np.nonzero(entries)
             triplets = rows, cols, entries[rows, cols]
         self.rows, self.cols, self.values = (np.asarray(a) for a in triplets)
-        key = self.rows * dim + self.cols
-        if (np.diff(key) <= 0).any():
+        if (np.diff(self.rows * dim + self.cols) <= 0).any():
             raise ValueError("triplets must be distinct positions in row-major order")
+        self.dim = dim
+        self._dense = None
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense dim x dim matrix."""
+        if self._dense is None:
+            self._dense = np.zeros((self.dim, self.dim), dtype=self.values.dtype)
+            self._dense[self.rows, self.cols] = self.values
+        return self._dense
+
+
+class HamiltonianMatrix(TripletMatrix):
+    """Hamiltonian with its layout and the energy scale that sets the time
+    unit (times are handled in units of 1/energy_unit), held as triplets. A
+    non-finite entry raises FloatingPointError here."""
+
+    def __init__(self, dim: int, *, hermitian: bool, layout: LatticeLayout,
+                 energy_unit: float = 1.0, entries=None, triplets=None):
+        super().__init__(dim, entries=entries, triplets=triplets)
         if layout.dim != dim:
             raise ValueError("layout dimension does not match matrix dimension")
         if energy_unit <= 0:
             raise ValueError("energy_unit must be positive")
         if not np.isfinite(self.values).all():
             raise FloatingPointError("Hamiltonian entries are not finite")
-        self.dim, self.hermitian, self.layout = dim, hermitian, layout
+        self.hermitian, self.layout = hermitian, layout
         self.energy_unit = energy_unit
-        self._dense = None
         if hermitian:
             # |H_ij - conj(H_ji)| at every stored (i, j) covers every nonzero
             # of H - H^dag; the largest |H_ij| is the scale
+            key = self.rows * dim + self.cols
             mirror_key = self.cols * dim + self.rows
             pos = np.searchsorted(key, mirror_key)
             pos[pos == key.size] = 0
@@ -177,20 +192,6 @@ class HamiltonianMatrix:
             resid = np.abs(self.values - np.conjugate(mirror)).max(initial=0.0)
             if resid > _HERMITICITY_TOL * scale:
                 raise ValueError(f"hermitian flag set but residual {resid:.3e} exceeds tolerance")
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense dim x dim matrix."""
-        if self._dense is None:
-            self._dense = _dense(self.dim, self.rows, self.cols, self.values)
-        return self._dense
-
-
-def _dense(dim: int, rows, cols, values) -> np.ndarray:
-    """The dim x dim matrix with the given entries and zeros elsewhere."""
-    out = np.zeros((dim, dim), dtype=values.dtype)
-    out[rows, cols] = values
-    return out
 
 
 def _tile(layout: LatticeLayout, onsite, hops=()):
@@ -436,7 +437,7 @@ def chiral_matrix(model: str, N: int) -> np.ndarray:
         blk = SIGMA_2
     else:
         raise LatticeError(f"no chiral operator defined for model {model!r}")
-    return _dense(2 * N, *_tile(_chain_layout(N), blk))
+    return TripletMatrix(2 * N, triplets=_tile(_chain_layout(N), blk)).entries
 
 
 def symmetry_residual(H, C) -> float:

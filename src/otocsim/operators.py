@@ -7,47 +7,46 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .lattice import (SIGMA_2, HamiltonianMatrix, LatticeError, LatticeLayout,
-                      _dense, _tile, chiral_matrix)
+from .lattice import (SIGMA_2, SIGMA_3, HamiltonianMatrix, LatticeError,
+                      LatticeLayout, TripletMatrix, _tile, chiral_matrix)
 
 _NORM_TOL = 1e-12
 
 
-class OperatorMatrix:
-    """Probe operator. A diagonal probe is held as its diagonal, weights;
-    any other as the dense matrix. A dense entries given to the constructor
-    that is diagonal becomes weights. entries is the dense matrix, built from
-    the weights on first use and kept. opnorm_bound is any upper bound on the
-    spectral norm; it caps the admissible OTOC values."""
+class OperatorMatrix(TripletMatrix):
+    """Probe operator, held as triplets like the Hamiltonian: built from its
+    diagonal, weights, from triplets or from a dense entries. weights is the
+    diagonal, or None when W has an entry off it. support holds the rows and
+    columns that carry an entry, in order: a series needs its amplitudes on
+    these rows only, and contract closes them. opnorm_bound is any upper
+    bound on the spectral norm; it caps the admissible OTOC values."""
 
     def __init__(self, dim: int, *, opnorm_bound: float, entries=None,
-                 weights=None):
-        if (entries is None) == (weights is None):
-            raise ValueError("give either entries or weights")
-        if entries is not None:
-            entries = np.asarray(entries)
-            if entries.shape != (dim, dim):
-                raise ValueError(f"entries must be {dim}x{dim}")
-            if np.count_nonzero(entries) == np.count_nonzero(np.diagonal(entries)):
-                weights, entries = np.diagonal(entries).copy(), None
-        elif np.shape(weights) != (dim,):
-            raise ValueError(f"weights must have length {dim}")
+                 triplets=None, weights=None):
+        if weights is not None:
+            if np.shape(weights) != (dim,):
+                raise ValueError(f"weights must have length {dim}")
+            rows = np.flatnonzero(weights)
+            triplets = rows, rows, np.asarray(weights)[rows]
+        super().__init__(dim, entries=entries, triplets=triplets)
         if opnorm_bound < 0:
             raise ValueError("opnorm_bound must be nonnegative")
-        self.dim, self.opnorm_bound = dim, opnorm_bound
-        self.weights = None if weights is None else np.asarray(weights)
-        self._dense = entries
+        self.opnorm_bound = opnorm_bound
+        self.support = np.union1d(self.rows, self.cols)
+        self.weights = None
+        if (self.rows == self.cols).all():
+            self.weights = np.zeros(dim, dtype=self.values.dtype)
+            self.weights[self.rows] = self.values
 
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense dim x dim matrix."""
-        if self._dense is None:
-            self._dense = np.diag(self.weights)
-        return self._dense
-
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """W f; a diagonal W multiplies by its weights."""
-        return self.entries @ f if self.weights is None else self.weights * f
+    def contract(self, g: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """sum_ij conj(g_i) W_ij f_j for g and f given on the support rows
+        (first axis), for each index of their other axes; a diagonal W with
+        g is f takes sum_i w_i |f_i|^2."""
+        w = self.values.reshape((-1,) + (1,) * (f.ndim - 1))
+        if g is f and self.weights is not None:
+            return (w * (np.abs(f) ** 2)).sum(axis=0).astype(complex)
+        i, j = (np.searchsorted(self.support, k) for k in (self.rows, self.cols))
+        return (w * np.conj(g[i]) * f[j]).sum(axis=0)
 
 
 @dataclass
@@ -107,14 +106,11 @@ def chiral_partial(layout: LatticeLayout, j: int = 3) -> OperatorMatrix:
         raise LatticeError("chiral_partial applies to two-sublattice chains")
     if j not in (2, 3):
         raise ConfigError("j must be 2 or 3")
-    if j == 3:
-        weights = np.zeros(layout.dim)
-        weights[:-2] = np.tile([1.0, -1.0], layout.cells_x - 1)
-        return OperatorMatrix(dim=layout.dim, weights=weights, opnorm_bound=1.0)
-    onsite = np.zeros((layout.cells_x, 2, 2), dtype=SIGMA_2.dtype)
-    onsite[:-1] = SIGMA_2
+    block = SIGMA_2 if j == 2 else SIGMA_3.real
+    onsite = np.zeros((layout.cells_x, 2, 2), dtype=block.dtype)
+    onsite[:-1] = block
     return OperatorMatrix(dim=layout.dim, opnorm_bound=1.0,
-                          entries=_dense(layout.dim, *_tile(layout, onsite)))
+                          triplets=_tile(layout, onsite))
 
 
 def chiral_operator(model: str, N: int) -> OperatorMatrix:

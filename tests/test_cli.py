@@ -218,14 +218,34 @@ def test_overflowing_hamiltonian_is_a_numerical_failure(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("eta, message", [
-    (0.0, "Hamiltonian entries are not finite"),      # tridiagonal chain
-    (0.3, "Hamiltonian entries are not finite"),      # dense eigh
-])
-def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys, eta, message):
+def overflowing_chain(eta):
     # epsilon * nu overflows to inf; the Hermiticity residual would then be
     # NaN, which no tolerance comparison catches, so the build refuses H
-    cfg = base_cfg(params={"N": 20, "nu": 1e308, "epsilon": 10.0, "eta": eta})
+    return {"params": {"N": 20, "nu": 1e308, "epsilon": 10.0, "eta": eta}}
+
+
+# phases a*max|t| of 1e13 and 4e14 energy units: float64 resolves them to
+# eps*x = 2e-3 and 0.09, and both series were that far off (60-digit mpmath)
+TINY_UNIT_LADDER = {
+    "model": "creutz", "params": {"N": 6, "eta0": 1e-15, "eta0p": 1.9465e-28},
+    "initial_state": {"kind": "staggered", "M": 4},
+    "w_operator": {"kind": "chiral_partial", "j": 3},
+    "time_grid": {"t_max": 2.0, "dt": 1.0}}
+STIFF_CHAIN = {"params": {"N": 10, "nu": 1e12},
+               "time_grid": {"t_max": 400.0, "dt": 0.2}}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(overflowing_chain(0.0), "Hamiltonian entries are not finite",
+                 id="0.0-Hamiltonian entries are not finite"),    # tridiagonal chain
+    pytest.param(overflowing_chain(0.3), "Hamiltonian entries are not finite",
+                 id="0.3-Hamiltonian entries are not finite"),    # dense eigh
+    pytest.param(TINY_UNIT_LADDER, "time_grid.t_max", id="tiny_unit_ladder"),
+    pytest.param(STIFF_CHAIN, "time_grid.t_max", id="stiff_chain"),
+])
+def test_overflowing_chain_is_a_numerical_failure(tmp_path, capsys, overrides,
+                                                  message):
+    cfg = base_cfg(**overrides)
     out = tmp_path / "run.csv"
     code = main(["otoc", "--config", write_cfg(tmp_path, cfg),
                  "--out", str(out)])

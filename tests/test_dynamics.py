@@ -497,7 +497,7 @@ def test_blocked_stepping_of_a_two_row_probe():
     assert series.metadata["step_block"] == 23
     assert np.abs(series.amplitudes - loop).max() <= 1e-12
     assert series.values[0] == abs(np.vdot(psi.amplitudes,
-                                           W.apply(psi.amplitudes))) ** 2
+                                           W.entries @ psi.amplitudes)) ** 2
 
 
 @pytest.mark.parametrize("t0", [0.0, 3.7])
@@ -573,7 +573,7 @@ def test_every_propagator_matches_the_trace_oracle(monkeypatch, kind, probe, tim
     t = ORACLE_TIMES[times]
     if kind == "chebyshev":
         # a zero cost constant makes the rule pick the series; it is picked
-        # for a diagonal probe, but serves any
+        # for a one-row probe, but serves any
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0)
         prop = spectral_decompose(H, site_projector(H.layout, [[1, "A"]]), t)
     else:

@@ -132,14 +132,21 @@ DISORDER_MEMBER = {
     "disorder": {"d1": 1.0, "d2": 2.0, "seed": 2000}}
 
 
-@pytest.mark.parametrize("cfg, kind", [(CORNER, "chebyshev"),
-                                       (DISORDER_MEMBER, "hermitian_spectral")],
-                         ids=["corner", "disorder_member"])
-def test_fast_paths_build_no_dense_matrix(no_dense, cfg, kind):
+# the sigma_2 blocks have no entry on the A row psi0 starts from
+DISORDER_MEMBER_J2 = dict(DISORDER_MEMBER,
+                          w_operator={"kind": "chiral_partial", "j": 2})
+
+
+@pytest.mark.parametrize("cfg, kind, at_zero",
+                         [(CORNER, "chebyshev", 1.0),
+                          (DISORDER_MEMBER, "hermitian_spectral", 1.0),
+                          (DISORDER_MEMBER_J2, "hermitian_spectral", 0.0)],
+                         ids=["corner", "disorder_member", "disorder_member_j2"])
+def test_fast_paths_build_no_dense_matrix(no_dense, cfg, kind, at_zero):
     series = pipeline.run_point(cfg)
     assert series.metadata["propagator"] == kind
     assert series.metadata.get("eigensolver", "tridiagonal") == "tridiagonal"
-    assert series.values[0] == pytest.approx(1.0, abs=1e-12)
+    assert series.values[0] == pytest.approx(at_zero, abs=1e-12)
 
 
 def test_large_patch_runs_without_a_dense_matrix(no_dense):
