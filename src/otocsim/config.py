@@ -230,15 +230,22 @@ def _validate_time_grid(cfg: dict) -> None:
     _check_keys(tg, "time_grid", (), ("t_max", "dt"))
     for key, default in (("t_max", 400.0), ("dt", 0.2)):
         tg[key] = _number(tg.get(key, default), f"time_grid.{key}")
-    if tg["t_max"] <= 0 or tg["dt"] <= 0:
+    grid_steps(tg["t_max"], tg["dt"])
+    cfg["time_grid"] = tg
+
+
+def grid_steps(t_max: float, dt: float) -> int:
+    """The number of steps dt from 0 to t_max: both positive, dt at most
+    t_max and dividing it within _GRID_SLACK, else a ConfigError."""
+    if t_max <= 0 or dt <= 0:
         raise ConfigError("time_grid.t_max and time_grid.dt must be positive")
-    if tg["dt"] > tg["t_max"]:
+    if dt > t_max:
         raise ConfigError("time_grid.dt must not exceed time_grid.t_max")
-    steps = tg["t_max"] / tg["dt"]
+    steps = t_max / dt
     if abs(steps - round(steps)) > _GRID_SLACK * steps:
         raise ConfigError(f"time_grid.dt must divide time_grid.t_max "
                           f"(t_max / dt = {steps:.6g})")
-    cfg["time_grid"] = tg
+    return round(steps)
 
 
 def _validate_observable(cfg: dict) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .config import grid_steps
 from .lattice import HamiltonianMatrix
 from .operators import OperatorMatrix, StateVector
 
@@ -42,55 +43,70 @@ _CHEBYSHEV_COST = 300
 _TRIDIAGONAL_COST = 300
 _CHEBYSHEV_TOL = 1e-15      # bound on the dropped tail of each amplitude
 _SUBNORMAL_FLOOR = math.sqrt(np.finfo(float).tiny)   # about 1.5e-154
+# No float64 evolution resolves a phase x = a max|t| (a the spectral bound
+# in the energy unit) better than about eps * x, and eps * x predicts the
+# size of the error where it shows: 2e-3 and 0.09 on a creutz and an ssh
+# config whose series were wrong by that much. Every workload and acceptance
+# config stays below 1.4e-12.
+PHASE_BUDGET = 1e-8
 
 
 class EigensolverError(RuntimeError):
     """Hermitian eigensolver failed to converge."""
 
 
+class PhaseBudgetError(FloatingPointError):
+    """eps * x above PHASE_BUDGET; args: what set the times, and the phase."""
+
+    def __str__(self):
+        return "{} puts the largest phase {}".format(*self.args)
+
+
 @dataclass
 class TimeGrid:
-    """Uniform grid 0, dt, 2*dt, ..., t_max in units of 1/energy_unit."""
+    """Uniform grid 0, dt, 2*dt, ..., t_max in units of 1/energy_unit, with
+    t_max a multiple of dt by the schema's rule (config.grid_steps)."""
 
     t_max: float = 400.0
     dt: float = 0.2
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt <= 0:
-            raise ValueError("t_max and dt must be positive")
-        if self.dt > self.t_max:
-            raise ValueError("dt exceeds t_max")
+        grid_steps(self.t_max, self.dt)
 
     def times(self) -> np.ndarray:
-        n = int(round(self.t_max / self.dt))
-        return np.arange(n + 1) * self.dt
+        return np.arange(grid_steps(self.t_max, self.dt) + 1) * self.dt
+
+
+@dataclass(frozen=True)
+class Plan:
+    """What plan() decides: the propagator kind, the eigensolver of
+    hermitian_spectral (tridiagonal or dense, else None), the Gershgorin scale
+    a and the largest phase x = a max|t| / energy_unit (0 without times)."""
+
+    kind: str
+    eigensolver: str | None
+    scale: float
+    x: float
 
 
 @dataclass
 class Propagator:
-    """Diagonalized (or exponential-stepping) form of a Hamiltonian.
+    """What spectral_decompose keeps to carry out its plan; every kind gives
+    the ket and bra amplitudes on the rows asked for (_amplitudes).
+    hermitian_spectral keeps the eigenpairs; scaled_expm the dense H, stepped
+    by matrix exponentials, as the eigenbasis of a non-Hermitian chain is too
+    ill conditioned to trust; chebyshev H/a as a sparse CSR matrix."""
 
-    Every kind answers one question, _amplitudes: the ket and bra amplitudes
-    of a state evolved to each sample time, on the rows asked for. kind is
-    "hermitian_spectral" for Hermitian input, which keeps the eigenpairs and
-    names the solver that made them in eigensolver: "tridiagonal" for a real
-    tridiagonal H, "dense" otherwise. "scaled_expm" is for non-Hermitian
-    input; it keeps the dense Hamiltonian and evolves by matrix exponentials:
-    the eigenbasis of a non-Hermitian chain is too ill conditioned to trust;
-    a uniform grid is stepped in giant and baby steps where few rows are
-    asked for (_stepping_amplitudes). "chebyshev" keeps H/scale as a sparse
-    CSR matrix, scale a Gershgorin bound of the spectrum with a rounding
-    margin, and evolves by the Chebyshev series of e^{-iHt}.
-    """
-
-    kind: str
+    plan: Plan
     dim: int
     energy_unit: float
     eigenvalues: np.ndarray | None = None
     eigenvectors: np.ndarray | None = None
     hamiltonian: object = None
-    scale: float | None = None
-    eigensolver: str | None = None
+
+    @property
+    def kind(self) -> str:
+        return self.plan.kind
 
 
 @dataclass
@@ -113,50 +129,69 @@ class OtocSeries:
             raise ValueError("times and values must have matching shape")
 
 
+def plan(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
+         times: np.ndarray | None = None) -> Plan:
+    """How spectral_decompose evolves H, decided without decomposing it. The
+    scale a is gershgorin_bound(H); given times, eps * x > PHASE_BUDGET for
+    x = a max|t| / energy_unit raises PhaseBudgetError. A non-Hermitian H
+    then takes scaled_expm. A Hermitian H given the probe W (R support rows)
+    and n_t times takes chebyshev where _CHEBYSHEV_COST * M * n_t * R, with
+    M = _chebyshev_terms(x), is below the price of eigh. Any other H takes
+    hermitian_spectral: the tridiagonal solver (LAPACK ?stevd), priced at
+    _TRIDIAGONAL_COST * dim^2, for a real H with no entry off its three
+    central diagonals (ssh without third-neighbor hops, extended_chain), and
+    dense eigh, priced at dim^3, otherwise. ?stevd skips the O(dim^3)
+    reduction of dense eigh, which leaves such an H as it is (the eigenpairs
+    agree bit for bit with OpenBLAS 0.3.31): 3x faster at dim 400, 15x at
+    dim 2000. MRRR (?stemr) took 19 ms against 6 ms at dim 400."""
+    scale = gershgorin_bound(H)
+    t_max = 0.0 if times is None else np.abs(times).max(initial=0.0)
+    x = scale * (t_max / H.energy_unit)
+    rounding = np.finfo(float).eps * x
+    if rounding > PHASE_BUDGET:
+        raise PhaseBudgetError(
+            "max|t|", f"a*max|t|/energy_unit at {x:.3g} (energy unit "
+            f"{H.energy_unit:.6g}): float64 resolves it only to eps*x = "
+            f"{rounding:.3g}, above the budget {PHASE_BUDGET:g}")
+    if not H.hermitian:
+        return Plan("scaled_expm", None, scale, x)
+    tridiagonal = (np.isrealobj(H.values)
+                   and np.abs(H.rows - H.cols).max(initial=0) <= 1)
+    eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
+    if (W is not None and times is not None and _CHEBYSHEV_COST
+            * _chebyshev_terms(x) * len(times) * W.support.size < eigh_cost):
+        return Plan("chebyshev", None, scale, x)
+    return Plan("hermitian_spectral", "tridiagonal" if tridiagonal else "dense",
+                scale, x)
+
+
 def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
                        times: np.ndarray | None = None) -> Propagator:
-    """Diagonalize a Hermitian H; keep a non-Hermitian H for exponential
-    stepping. A real H with no entries off its three central diagonals (the
-    ssh chain without third-neighbor hops, extended_chain) goes to the
-    tridiagonal divide-and-conquer solver (LAPACK ?stevd), any other
-    Hermitian H to dense eigh. On a tridiagonal H dense eigh runs the same
-    divide and conquer after a reduction that leaves H as it is (the
-    eigenpairs agree bit for bit with OpenBLAS 0.3.31); ?stevd skips that
-    O(dim^3) reduction and is 3x faster at dim 400, 15x at dim 2000. MRRR
-    (?stemr) is slower here: 19 ms against 6 ms at dim 400.
-
-    Given the probe W and the times it is sampled at, a Hermitian H takes
-    the Chebyshev series instead where the cost rule at _CHEBYSHEV_COST
-    favours it. H is finite, as its build checks."""
-    if not H.hermitian:
-        return Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit, hamiltonian=H.entries)
-    band = _tridiagonal_band(H)
-    if W is not None and times is not None:
-        prop = _chebyshev_propagator(H, W, np.asarray(times, dtype=float),
-                                     band is not None)
-        if prop is not None:
-            return prop
+    """Carry out plan(H, W, times). H is finite, as its build checks."""
+    chosen = plan(H, W, times)
+    keep = dict(plan=chosen, dim=H.dim, energy_unit=H.energy_unit)
+    if chosen.kind == "scaled_expm":
+        return Propagator(**keep, hamiltonian=H.entries)
+    if chosen.kind == "chebyshev":
+        # only here: scipy.sparse stays out of the CLI's import time
+        from scipy.sparse import csr_array
+        S = csr_array((H.values / chosen.scale, H.cols,
+                       np.searchsorted(H.rows, np.arange(H.dim + 1))),
+                      shape=(H.dim, H.dim))
+        return Propagator(**keep, hamiltonian=S)
     try:
-        if band is None:
-            lam, V = np.linalg.eigh(H.entries)
+        if chosen.eigensolver == "tridiagonal":
+            lam, V = scipy.linalg.eigh_tridiagonal(
+                *_tridiagonal_band(H), check_finite=False, lapack_driver="stevd")
         else:
-            lam, V = scipy.linalg.eigh_tridiagonal(*band, check_finite=False,
-                                                   lapack_driver="stevd")
+            lam, V = np.linalg.eigh(H.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"hermitian eigensolver failed: {exc}") from exc
-    return Propagator(kind="hermitian_spectral", dim=H.dim,
-                      energy_unit=H.energy_unit, eigenvalues=lam,
-                      eigenvectors=V,
-                      eigensolver="dense" if band is None else "tridiagonal")
+    return Propagator(**keep, eigenvalues=lam, eigenvectors=V)
 
 
 def _tridiagonal_band(H: HamiltonianMatrix):
-    """The diagonal and first subdiagonal of a real H that has no nonzero
-    entry outside them, else None."""
-    if (np.iscomplexobj(H.values)
-            or np.abs(H.rows - H.cols).max(initial=0) > 1):
-        return None
+    """The diagonal and subdiagonal of a real tridiagonal H."""
     d = np.zeros(H.dim, dtype=H.values.dtype)
     e = np.zeros(H.dim - 1, dtype=H.values.dtype)
     on, below = H.rows == H.cols, H.rows == H.cols + 1
@@ -179,28 +214,6 @@ def gershgorin_bound(H: HamiltonianMatrix) -> float:
     sums = np.bincount(H.rows, weights=np.abs(H.values), minlength=H.dim)
     k = np.bincount(H.rows, minlength=H.dim).max()
     return float(sums.max() * (1 + (k + 1) * np.finfo(float).eps)) or 1.0
-
-
-def _chebyshev_propagator(H: HamiltonianMatrix, W: OperatorMatrix,
-                          times: np.ndarray, tridiagonal: bool):
-    """The Chebyshev propagator of a Hermitian H for the R support rows of
-    the probe W, or None where eigh is cheaper or the scale overflows. eigh
-    is priced at dim^3, or _TRIDIAGONAL_COST * dim^2 for a tridiagonal H. As
-    M > x = a max|t|, work * x at that price rules the series out before the
-    search for M, which would not end for a huge x (or an infinite one). The
-    scale a is gershgorin_bound(H); the CSR matrix holds the triplets of H/a."""
-    scale = gershgorin_bound(H)
-    x_max = scale * (np.abs(times).max(initial=0.0) / H.energy_unit)
-    work = _CHEBYSHEV_COST * times.size * W.support.size
-    eigh_cost = _TRIDIAGONAL_COST * H.dim ** 2 if tridiagonal else H.dim ** 3
-    if not work * x_max < eigh_cost or work * _chebyshev_terms(x_max) >= eigh_cost:
-        return None
-    import scipy.sparse  # only here: it stays out of the CLI's import time
-    S = scipy.sparse.csr_array(
-        (H.values / scale, H.cols, np.searchsorted(H.rows, np.arange(H.dim + 1))),
-        shape=(H.dim, H.dim))
-    return Propagator(kind="chebyshev", dim=H.dim, energy_unit=H.energy_unit,
-                      hamiltonian=S, scale=scale)
 
 
 def _chebyshev_terms(x: float) -> int:
@@ -227,7 +240,7 @@ def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
     term count M: the moments mu_n = <r| T_n(H/a) |psi> for n < M from the
     three-term recurrence on the sparse H/a, in float64 where H and psi are
     real, summed over by _chebyshev_sum."""
-    M = _chebyshev_terms(prop.scale * np.abs(tau).max(initial=0.0))
+    M = _chebyshev_terms(prop.plan.scale * np.abs(tau).max(initial=0.0))
     S = prop.hamiltonian
     real = np.isrealobj(S.data) and not np.imag(psi).any()
     prev = psi.real.astype(float) if real else psi.astype(complex)
@@ -237,7 +250,7 @@ def _chebyshev_amplitudes(prop: Propagator, psi: np.ndarray, rows, tau):
     for n in range(1, M):
         moments[n] = cur[rows]
         prev, cur = cur, 2 * (S @ cur) - prev
-    return _chebyshev_sum(moments, prop.scale, tau), M
+    return _chebyshev_sum(moments, prop.plan.scale, tau), M
 
 
 def _chebyshev_sum(mu: np.ndarray, a: float, tau: np.ndarray) -> np.ndarray:
@@ -345,9 +358,9 @@ def _amplitudes(prop: Propagator, psi: np.ndarray, rows: np.ndarray, tau):
         return f, g, {"step_block": block, "step_matrices": formed}
     if prop.kind == "chebyshev":
         f, M = _chebyshev_amplitudes(prop, psi, rows, tau)
-        return f, f, {"chebyshev_terms": M, "chebyshev_scale": prop.scale}
+        return f, f, {"chebyshev_terms": M, "chebyshev_scale": prop.plan.scale}
     f = _spectral_rows(prop, psi, rows, tau)
-    return f, f, {"eigensolver": prop.eigensolver}
+    return f, f, {"eigensolver": prop.plan.eigensolver}
 
 
 def evolve(prop: Propagator, state: StateVector, t: float) -> StateVector:

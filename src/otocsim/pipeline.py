@@ -13,20 +13,13 @@ import numpy as np
 
 from . import lattice, operators
 from .config import _INT_PARAMS, ConfigError, fingerprint
-from .dynamics import (TAIL_FRACTION, Propagator, TimeGrid, gershgorin_bound,
+from .dynamics import (TAIL_FRACTION, PhaseBudgetError, Propagator, TimeGrid,
                        long_time_limit, otoc_series, spectral_decompose,
                        time_average)
 from .ensemble import draw_disorder
 from .analytic import extended_chain_hamiltonian
 from .lattice import DisorderConfig, HamiltonianMatrix
 from .operators import OperatorMatrix, StateVector
-
-# No float64 evolution resolves a phase x = a max|t| (a the spectral bound
-# in the energy unit) better than about eps * x, and eps * x predicts the
-# size of the error where it shows: 2e-3 and 0.09 on a creutz and an ssh
-# config whose series were wrong by that much. Every workload and acceptance
-# config stays below 1.4e-12.
-PHASE_BUDGET = 1e-8
 
 _BUILDERS = dict(ssh=lattice.build_ssh, nonhermitian_ssh=lattice.build_nonhermitian_ssh,
                  creutz=lattice.build_creutz, haldane=lattice.build_haldane,
@@ -142,33 +135,20 @@ def _check_contracts(series, W: OperatorMatrix, psi0: StateVector) -> None:
                                      f"{expected:.6g} by {err:.3e}")
 
 
-def _phase(H: HamiltonianMatrix, times, field: str) -> dict:
-    """x = a max|t| / energy_unit and eps * x, refused with
-    FloatingPointError (exit 1) above PHASE_BUDGET, naming field."""
-    x = gershgorin_bound(H) * (np.abs(times).max(initial=0.0) / H.energy_unit)
-    rounding = np.finfo(float).eps * x
-    if rounding > PHASE_BUDGET:
-        raise FloatingPointError(
-            f"{field} puts the largest phase a*max|t|/energy_unit at {x:.3g} "
-            f"(energy unit {H.energy_unit:.6g}): float64 resolves it only to "
-            f"eps*x = {rounding:.3g}, above the budget {PHASE_BUDGET:g}")
-    return {"phase_x": x, "phase_eps_x": rounding}
-
-
 def run_point(cfg: dict, observable: str = "full_series",
               seed: int | None = None, times=None):
     """One pipeline pass: build, decompose once, evolve, check, reduce.
 
     O(t) is sampled on the config's time grid unless explicit times are
-    given. The decomposition sees the probe and the times, so it can pick the
-    Chebyshev series; an eigenstate psi0 needs the eigenpairs and always
-    takes eigh. Whatever the propagator, the series evolves psi0 on the
-    support rows of the probe. Before any of that, a point whose largest
-    phase x = a max|t| / energy_unit (a = gershgorin_bound) float64 resolves
-    worse than PHASE_BUDGET is refused (exit 1). The series metadata records
-    x and eps * x as phase_x and phase_eps_x, and the mean and spread of its
-    tail as tail_mean and tail_std. Returns an OtocSeries for "full_series",
-    otherwise a float.
+    given. spectral_decompose plans the point (dynamics.plan) from H, the
+    probe and the times; an eigenstate psi0 needs the eigenpairs, so it
+    passes no probe and keeps eigh. The plan refuses a point whose largest
+    phase float64 resolves worse than PHASE_BUDGET (exit 1), naming
+    time_grid.t_max or the t axis. The series evolves psi0 on the support
+    rows of the probe. Its metadata records the plan's x = a max|t| /
+    energy_unit and eps * x as phase_x and phase_eps_x, and the mean and
+    spread of its tail as tail_mean and tail_std. Returns an OtocSeries for
+    "full_series", otherwise a float.
     """
     disorder = _disorder_from_config(cfg, seed)
     H = build_hamiltonian(cfg["model"], cfg["params"], disorder)
@@ -176,17 +156,22 @@ def run_point(cfg: dict, observable: str = "full_series",
     field = "the t axis" if times is not None else "time_grid.t_max"
     if times is None:
         times = TimeGrid(**cfg.get("time_grid", {})).times()
-    phase = _phase(H, times, field)
     state = cfg["initial_state"]
-    prop = (spectral_decompose(H) if state["kind"] == "eigenstate"
-            else spectral_decompose(H, W, times))
+    try:
+        prop = spectral_decompose(H, None if state["kind"] == "eigenstate" else W,
+                                  times)
+    except PhaseBudgetError as exc:
+        exc.args = (field, exc.args[1])
+        raise
     psi0 = build_initial_state(H, state, prop)
     series = otoc_series(prop, W, psi0, times=times)
     _check_contracts(series, W, psi0)
     obs = cfg.get("observable", {})
     tail = long_time_limit(series, obs.get("tail_fraction", TAIL_FRACTION))
+    x = prop.plan.x
     series.metadata.update(model=cfg["model"], fingerprint=fingerprint(cfg),
-                           **phase, tail_mean=tail.mean, tail_std=tail.std)
+                           phase_x=x, phase_eps_x=np.finfo(float).eps * x,
+                           tail_mean=tail.mean, tail_std=tail.std)
     if observable == "full_series":
         return series
     if observable == "long_time_limit":

@@ -2,20 +2,9 @@
 
 The work unit is one grid point (one Hamiltonian build, one decomposition,
 one series); point-level parallelism saturates cores without shared state.
-On chains the decomposition still dominates, though the tridiagonal solver
-has no cubic reduction: on 150 dim-400 chain members with 2001 samples each
-(the disorder_sweep benchmark), a traced run puts 56% of self time in
-decomposition, 26% in the series and 6% in the lattice build. A
-small-support probe on a large lattice takes the Chebyshev series instead,
-which has no cubic step and, like the tridiagonal path, no dense matrix: on
-the 8 dim-1600 corner_scan points a traced run puts 66% of self time in the
-series (its sparse products, now that no Bessel table is built), 12% in the
-lattice build, 2% in decomposition (the sparse matrix) and 18% in sweep
-overhead, most of it the tracer's own dense view of H, about 0.017 s a
-point in all. Results land in pre-sized slots by
-point index, which makes 1-worker and K-worker grids bit-identical.
-An axis named "t" samples O(t) itself along that direction, so a whole row
-shares one decomposition.
+Results land in pre-sized slots by point index, which makes 1-worker and
+K-worker grids bit-identical. An axis named "t" samples O(t) itself along
+that direction, so a whole row shares one decomposition.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import settings
 
 settings.register_profile("suite", deadline=None)
@@ -33,3 +34,12 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def no_eigensolver(monkeypatch):
+    """Any call of dense eigh or of the tridiagonal solver fails the test."""
+    def solver(*args, **kwargs):
+        raise AssertionError("an eigensolver ran")
+    monkeypatch.setattr(np.linalg, "eigh", solver)
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solver)

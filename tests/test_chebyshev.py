@@ -1,6 +1,7 @@
 """The Chebyshev propagator: its quadrature against the Bessel sum it
 evaluates, its term count, its agreement with dense eigh on real and complex
-moments, and the cost rule that picks it inside run_point."""
+moments, and the cost rule by which dynamics.plan picks it, checked
+without running an eigensolver."""
 
 import json
 import math
@@ -89,9 +90,9 @@ def test_series_matches_dense(always_chebyshev, model, times):
     assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
     assert np.abs(got.values - want.values).max() <= 1e-12
     assert got.metadata["propagator"] == "chebyshev"
-    assert got.metadata["chebyshev_scale"] == prop.scale
+    assert got.metadata["chebyshev_scale"] == prop.plan.scale
     assert got.metadata["chebyshev_terms"] == dynamics._chebyshev_terms(
-        prop.scale * np.abs(t).max() / H.energy_unit)
+        prop.plan.scale * np.abs(t).max() / H.energy_unit)
 
 
 def random_sparse_hermitian():
@@ -126,8 +127,8 @@ def test_scale_bounds_the_spectrum(always_chebyshev, model):
     assert prop.kind == "chebyshev"
     per_row = np.split(np.abs(H.values), np.searchsorted(H.rows, np.arange(1, H.dim)))
     largest = max(math.fsum(row) for row in per_row)
-    assert largest <= prop.scale <= largest * (1 + 1e-12)
-    assert np.abs(np.linalg.eigvalsh(H.entries)).max() <= prop.scale
+    assert largest <= prop.plan.scale <= largest * (1 + 1e-12)
+    assert np.abs(np.linalg.eigvalsh(H.entries)).max() <= prop.plan.scale
 
 
 def test_real_and_complex_moments_agree(always_chebyshev, monkeypatch):
@@ -236,12 +237,21 @@ def disorder_member_config():
             "disorder": {"d1": 1.0, "d2": 2.0, "seed": 2000}}
 
 
-def kind_of(cfg):
-    return pipeline.run_point(cfg).metadata["propagator"]
+def plan_of(cfg):
+    """dynamics.plan on what run_point passes spectral_decompose: H, the
+    probe (none for an eigenstate psi0) and the grid. A config without a
+    time grid stands for a direct spectral_decompose(H)."""
+    disorder = pipeline._disorder_from_config(cfg, None)
+    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"], disorder)
+    if "time_grid" not in cfg:
+        return dynamics.plan(H)
+    W = (None if cfg["initial_state"]["kind"] == "eigenstate"
+         else pipeline.build_w_operator(H, cfg["w_operator"]))
+    return dynamics.plan(H, W, dynamics.TimeGrid(**cfg["time_grid"]).times())
 
 
-def test_cost_rule_picks_the_series_for_the_corner_probe():
-    assert kind_of(corner_config()) == "chebyshev"
+def test_cost_rule_picks_the_series_for_the_corner_probe(no_eigensolver):
+    assert plan_of(corner_config()).kind == "chebyshev"
 
 
 @pytest.mark.parametrize("nu_p, M", [(0.55, 452), (0.90, 548)])
@@ -254,10 +264,10 @@ def test_term_count_at_the_corner_scan_end_points(nu_p, M):
     assert series.metadata["chebyshev_terms"] == M
 
 
-def test_cost_rule_keeps_eigh_for_a_disorder_member():
-    series = pipeline.run_point(disorder_member_config())
-    assert series.metadata["propagator"] == "hermitian_spectral"
-    assert series.metadata["eigensolver"] == "tridiagonal"
+def test_cost_rule_keeps_eigh_for_a_disorder_member(no_eigensolver):
+    got = plan_of(disorder_member_config())
+    assert got.kind == "hermitian_spectral"
+    assert got.eigensolver == "tridiagonal"
 
 
 def clean_chain_config(N):
@@ -267,24 +277,20 @@ def clean_chain_config(N):
             "time_grid": {"t_max": 400.0, "dt": 0.2}}
 
 
-def test_cost_rule_prices_a_chain_by_the_tridiagonal_solver():
+def test_cost_rule_prices_a_chain_by_the_tridiagonal_solver(no_eigensolver):
     # a dim-1000 chain weighs 5.1e8 against dim^3 = 1e9, which would pick the
     # series, but against 300 * dim^2 = 3e8 for the tridiagonal solver
-    series = pipeline.run_point(clean_chain_config(500))
-    assert series.metadata["propagator"] == "hermitian_spectral"
-    assert series.metadata["eigensolver"] == "tridiagonal"
+    got = plan_of(clean_chain_config(500))
+    assert got.kind == "hermitian_spectral"
+    assert got.eigensolver == "tridiagonal"
 
 
-def test_cost_rule_picks_the_series_for_a_long_chain():
-    cfg = clean_chain_config(2000)                       # dim 4000
-    H = pipeline.build_hamiltonian(cfg["model"], cfg["params"])
-    W = pipeline.build_w_operator(H, cfg["w_operator"])
-    times = dynamics.TimeGrid(t_max=400.0, dt=0.2).times()
-    assert spectral_decompose(H, W, times).kind == "chebyshev"
+def test_cost_rule_picks_the_series_for_a_long_chain(no_eigensolver):
+    assert plan_of(clean_chain_config(2000)).kind == "chebyshev"   # dim 4000
 
 
 @pytest.mark.parametrize("case", ["eigenstate", "nonhermitian"])
-def test_paths_the_series_never_takes(always_chebyshev, case):
+def test_paths_the_series_never_takes(always_chebyshev, no_eigensolver, case):
     cfg = {"model": "ssh", "params": {"N": 20, "nu": 0.6},
            "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
            "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
@@ -295,8 +301,98 @@ def test_paths_the_series_never_takes(always_chebyshev, case):
     else:
         cfg.update(model="nonhermitian_ssh", params={"N": 20, "nu": 1.2, "delta": 0.4})
         want = "scaled_expm"
-    assert kind_of(cfg) == want
-    assert spectral_decompose(build_ssh(20, 0.6)).kind == "hermitian_spectral"
+    assert plan_of(cfg).kind == want
+    assert dynamics.plan(build_ssh(20, 0.6)).kind == "hermitian_spectral"
+
+
+def chain(model="ssh", t_max=400.0, dt=0.2, **params):
+    return {"model": model, "params": params,
+            "initial_state": {"kind": "basis", "cell": 1, "sublattice": "A"},
+            "w_operator": {"kind": "site_projector", "sites": [[1, "A"]]},
+            "time_grid": {"t_max": t_max, "dt": dt}}
+
+
+def corner_point(nu_p):
+    cfg = corner_config()
+    cfg["params"]["nu_p"] = nu_p
+    return cfg
+
+
+HALDANE = {"model": "haldane",
+           "params": {"Nx": 20, "Ny": 20, "eta1": 1.0, "eta2": 1.0,
+                      "phi": math.pi / 2, "mu": 3.0},
+           "initial_state": {"kind": "basis", "cell": [1, 1], "sublattice": "A"},
+           "w_operator": {"kind": "sublattice_projector", "sublattice": "B"},
+           "time_grid": {"t_max": 400.0, "dt": 0.2}}
+TWO_SITES = {"kind": "site_projector", "sites": [[1, "A"], [1, "B"]]}
+DISORDER = {"d1": 1.0, "d2": 2.0, "seed": 2000}
+TRIDIAGONAL, DENSE = ("hermitian_spectral", "tridiagonal"), ("hermitian_spectral", "dense")
+# The end points of the three benchmark workloads and a point of every
+# acceptance check, with the kind and eigensolver each took before plan()
+# existed (run_point metadata, or spectral_decompose(H) where a check calls
+# it without probe and times).
+PLANS = {
+    "disorder_sweep_first": (dict(chain(N=200, nu=0.6), disorder=DISORDER),
+                             TRIDIAGONAL),
+    "disorder_sweep_last": (dict(chain(N=200, nu=1.3),
+                                 disorder=dict(DISORDER, seed=2009)), TRIDIAGONAL),
+    "corner_scan_first": (corner_point(0.55), ("chebyshev", None)),
+    "corner_scan_last": (corner_point(0.90), ("chebyshev", None)),
+    "nonhermitian_sweep_first": (chain("nonhermitian_ssh", N=200, nu=0.8, delta=0.4),
+                                 ("scaled_expm", None)),
+    "nonhermitian_sweep_last": (chain("nonhermitian_ssh", N=200, nu=1.4, delta=0.4),
+                                ("scaled_expm", None)),
+    "c01": (chain(N=200, nu=0.2), TRIDIAGONAL),
+    "c02": (dict(chain(N=200, nu=0.5, t_max=190.0),
+                 w_operator={"kind": "chiral_partial"}), TRIDIAGONAL),
+    "c03": ({"model": "extended_chain", "params": {"N": 200, "nu": 0.5}},
+            TRIDIAGONAL),
+    "c05": (dict(chain(N=200, nu=2.0), initial_state={"kind": "eigenstate"},
+                 w_operator={"kind": "sublattice_projector", "sublattice": "A"}),
+            TRIDIAGONAL),
+    "c06": (dict(chain("creutz", N=200, eta0=0.5, eta0p=1.0), w_operator=TWO_SITES),
+            DENSE),
+    "c07_eta_zero": (chain(N=200, nu=1.0, eta=0.0), TRIDIAGONAL),
+    "c07_eta": (chain(N=200, nu=1.0, eta=1.5), DENSE),
+    "c08": (HALDANE, DENSE),
+    "c09": ({"model": "ssh2d", "params": {"Nx": 20, "Ny": 20, "nu_p": 0.55, "w": 1.0}},
+            DENSE),
+    "c10": (chain("nonhermitian_ssh", N=200, nu=1.4, delta=0.4), ("scaled_expm", None)),
+    "c11a": (dict(chain(N=200, nu=0.2), disorder={"d1": 0.5, "d2": 1.0, "seed": 1}),
+             TRIDIAGONAL),
+    "c12_creutz": (dict(chain("creutz", t_max=10.0, dt=0.5, N=50, eta0=0.8, eta0p=1.0),
+                        w_operator=TWO_SITES), ("chebyshev", None)),
+    "c12_chain": (chain(N=200, nu=0.5, t_max=10.0, dt=0.5), ("chebyshev", None)),
+    "c12_chiral": (dict(chain(N=200, nu=0.5, t_max=10.0, dt=0.5),
+                        w_operator={"kind": "chiral_partial"}), TRIDIAGONAL),
+    "c12_small_chain": (chain(N=40, nu=1.6, t_max=40.0, dt=0.5), TRIDIAGONAL),
+    "c12_small_disorder": (dict(chain(N=40, nu=0.5, t_max=40.0, dt=0.5),
+                                disorder={"d1": 0.5, "d2": 1.0, "seed": 21}),
+                           TRIDIAGONAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_plan_keeps_every_workload_and_acceptance_kind(no_eigensolver, name):
+    cfg, want = PLANS[name]
+    got = plan_of(cfg)
+    assert (got.kind, got.eigensolver) == want
+
+
+@pytest.mark.parametrize("cfg", [corner_config(),
+                                 dict(chain(N=20, nu=0.6, t_max=20.0),
+                                      initial_state={"kind": "eigenstate"}),
+                                 chain("nonhermitian_ssh", N=20, nu=1.2, delta=0.4,
+                                       t_max=20.0)],
+                         ids=["chebyshev", "eigenstate", "nonhermitian"])
+def test_run_point_metadata_matches_the_plan(cfg):
+    want = plan_of(cfg)
+    meta = pipeline.run_point(cfg).metadata
+    assert meta["propagator"] == want.kind
+    assert meta.get("eigensolver") == want.eigensolver
+    assert meta.get("chebyshev_scale", want.scale) == want.scale
+    assert meta["phase_x"] == want.x
+    assert meta["phase_eps_x"] == np.finfo(float).eps * want.x
 
 
 def test_huge_scale_leaves_the_series_without_a_term_search(tmp_path):

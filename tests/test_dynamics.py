@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,13 @@ def bare_layout(dim):
                          sublattices=1, sublattice_names=("s",))
 
 
+def stepping_propagator(H):
+    """H kept for exponential stepping, whatever plan() picks for it."""
+    return Propagator(plan=replace(dynamics.plan(H), kind="scaled_expm",
+                                   eigensolver=None),
+                      dim=H.dim, energy_unit=H.energy_unit, hamiltonian=H.entries)
+
+
 def wrap(entries, hermitian=True):
     entries = np.asarray(entries)
     return HamiltonianMatrix(dim=entries.shape[0], entries=entries,
@@ -42,6 +51,21 @@ def test_time_grid_validation():
         TimeGrid(dt=0.0)
     with pytest.raises(ValueError):
         TimeGrid(t_max=1.0, dt=2.0)
+    for dt in (0.3, 0.4):    # 1.0 / dt would end the grid at 0.9 or 0.8
+        with pytest.raises(ValueError, match="must divide"):
+            TimeGrid(t_max=1.0, dt=dt)
+        assert TimeGrid(t_max=1.2, dt=dt).times()[-1] == pytest.approx(1.2)
+
+
+@pytest.mark.parametrize("probe", [True, False], ids=["probe", "no_probe"])
+def test_library_calls_get_the_phase_budget(no_eigensolver, probe):
+    # a 1e12 hop puts eps * x near 0.09: no solver may run, with or without
+    # the probe, and no times means no phase to refuse
+    H = build_ssh(10, 1e12)
+    W = site_projector(H.layout, [[1, "A"]]) if probe else None
+    with pytest.raises(FloatingPointError, match=r"^max\|t\| puts .* above the budget"):
+        spectral_decompose(H, W, TimeGrid(t_max=400.0, dt=0.2).times())
+    assert dynamics.plan(H, W).x == 0.0
 
 
 def test_hermitian_decomposition_properties():
@@ -251,8 +275,7 @@ def test_stepping_propagator_matches_spectral(probe):
         W = chiral_partial(H.layout, j=2)
         assert W.weights is None
     spectral = spectral_decompose(H)
-    stepping = Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit, hamiltonian=H.entries)
+    stepping = stepping_propagator(H)
     psi = basis_state(H.layout, 1, "A")
     grid = TimeGrid(t_max=20.0, dt=0.5)
     a = otoc_series(spectral, W, psi, grid=grid)
@@ -262,8 +285,7 @@ def test_stepping_propagator_matches_spectral(probe):
 
 def test_stepping_on_nonuniform_times_matches_spectral():
     H = build_ssh(4, 0.7)
-    stepping = Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit, hamiltonian=H.entries)
+    stepping = stepping_propagator(H)
     psi = basis_state(H.layout, 1, "A")
     W = site_projector(H.layout, [[1, "A"]])
     times = np.array([0.0, 1.0, 3.0])
@@ -297,8 +319,7 @@ def test_stepping_accepts_its_own_long_grid():
     # k*dt rounds differently for each k: on a 4000-long grid the steps
     # spread by more than 1e-12 of dt, but the grid is uniform to rounding
     H = build_ssh(4, 0.7)
-    stepping = Propagator(kind="scaled_expm", dim=H.dim,
-                          energy_unit=H.energy_unit, hamiltonian=H.entries)
+    stepping = stepping_propagator(H)
     psi = basis_state(H.layout, 1, "A")
     W = site_projector(H.layout, [[1, "A"]])
     grid = TimeGrid(t_max=4000.0, dt=0.2)
@@ -384,9 +405,9 @@ def test_complex_diagonal_probe_keeps_its_imaginary_part():
 
 def dense_propagator(H):
     lam, V = np.linalg.eigh(H.entries)
-    return Propagator(kind="hermitian_spectral", dim=H.dim,
-                      energy_unit=H.energy_unit, eigenvalues=lam,
-                      eigenvectors=V, eigensolver="dense")
+    return Propagator(plan=replace(dynamics.plan(H), eigensolver="dense"),
+                      dim=H.dim, energy_unit=H.energy_unit, eigenvalues=lam,
+                      eigenvectors=V)
 
 
 DISORDER_MEMBER = {
@@ -408,7 +429,7 @@ def test_tridiagonal_solver_matches_dense_eigh(cfg):
     disorder = pipeline._disorder_from_config(cfg, None)
     H = pipeline.build_hamiltonian(cfg["model"], cfg["params"], disorder)
     prop = spectral_decompose(H)
-    assert prop.eigensolver == "tridiagonal"
+    assert prop.plan.eigensolver == "tridiagonal"
     dense = dense_propagator(H)
     lam, V = prop.eigenvalues, prop.eigenvectors
     assert np.abs(lam - dense.eigenvalues).max() <= 1e-13
@@ -432,7 +453,7 @@ def test_banded_and_complex_hamiltonians_take_dense_eigh(case):
          "ssh2d": lambda: build_ssh2d(3, 3, 0.55, 1.0)}[case]()
     prop = spectral_decompose(H)
     assert prop.kind == "hermitian_spectral"
-    assert prop.eigensolver == "dense"
+    assert prop.plan.eigensolver == "dense"
     psi = StateVector(dim=H.dim, amplitudes=np.eye(H.dim)[0].astype(complex))
     W = OperatorMatrix(dim=H.dim, entries=np.diag(np.eye(H.dim)[0]), opnorm_bound=1.0)
     series = otoc_series(prop, W, psi, times=np.array([0.0, 1.0]))
@@ -443,7 +464,7 @@ def test_decoupled_cells_take_the_tridiagonal_solver():
     # nu = 0 zeroes every intracell bond, so the subdiagonal has zeros
     H = build_ssh(30, 0.0)
     prop = spectral_decompose(H)
-    assert prop.eigensolver == "tridiagonal"
+    assert prop.plan.eigensolver == "tridiagonal"
     dense = dense_propagator(H)
     assert np.abs(prop.eigenvalues - dense.eigenvalues).max() <= 1e-13
     V = prop.eigenvectors
@@ -578,7 +599,7 @@ def test_every_propagator_matches_the_trace_oracle(monkeypatch, kind, probe, tim
         prop = spectral_decompose(H, site_projector(H.layout, [[1, "A"]]), t)
     else:
         prop = spectral_decompose(H)
-    assert (prop.kind, prop.eigensolver) == (want_kind, want_solver)
+    assert (prop.kind, prop.plan.eigensolver) == (want_kind, want_solver)
     amplitudes = np.zeros(H.dim, dtype=complex)
     amplitudes[[0, 3]] = [0.6, 0.8j]
     psi = StateVector(dim=H.dim, amplitudes=amplitudes)

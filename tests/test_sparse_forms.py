@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from otocsim import pipeline
 from otocsim.analytic import extended_chain_hamiltonian
-from otocsim.dynamics import _tridiagonal_band
+from otocsim.dynamics import _tridiagonal_band, plan
 from otocsim.ensemble import draw_disorder
 from otocsim.lattice import (HamiltonianMatrix, LatticeLayout, _tile,
                              build_creutz, build_haldane, build_ssh)
@@ -101,14 +101,14 @@ def test_band_is_the_dense_diagonals(case):
     assert e.tobytes() == np.diagonal(A, -1).copy().tobytes()
 
 
-def test_band_is_none_off_three_diagonals():
+def test_plan_takes_dense_eigh_off_three_diagonals(no_eigensolver):
     A = build_ssh(10, 0.6).entries.copy()
     A[0, 2] = A[2, 0] = 0.1
     off_band = HamiltonianMatrix(dim=20, entries=A, hermitian=True,
                                  layout=build_ssh(10, 0.6).layout)
     for H in (build_ssh(10, 0.6, eta=0.3), build_creutz(10, 1.0, 0.5),
               build_haldane(3, 3, 1.0, 0.2, 0.5, 0.1), off_band):
-        assert _tridiagonal_band(H) is None
+        assert plan(H).eigensolver == "dense"
 
 
 @pytest.fixture
