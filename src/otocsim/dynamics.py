@@ -7,7 +7,9 @@ Times are dimensionless multiples of 1/energy_unit of the Hamiltonian.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,13 @@ TAIL_FRACTION = 0.5          # the trailing share of a series long_time_limit av
 # M = 1674) 1.0e9 against 300 * dim^2 = 4.8e7.
 _CHEBYSHEV_COST = 300
 _TRIDIAGONAL_COST = 300
+# The bidiagonal solver carries every probe row through ?bdsqr's rotations.
+# With one BLAS thread its two calls (_bdsqr) took 1.4 + 3.0 ms for one row
+# and 1.4 + 3.4 ms for 16 rows of a dim-400 chain with random bonds, and
+# 3.9-4.6 ms in all for the one-row disorder_sweep members against 5.7-7.1 ms
+# for ?stevd; at dim 2000, 29 + 62 and 29 + 72 ms against 85 ms, each further
+# row adding about 0.7 ms. Wider probes keep ?stevd.
+_BIDIAGONAL_ROWS = 16
 _CHEBYSHEV_TOL = 1e-15      # bound on the dropped tail of each amplitude
 _SUBNORMAL_FLOOR = math.sqrt(np.finfo(float).tiny)   # about 1.5e-154
 # No float64 evolution resolves a phase x = a max|t| (a the spectral bound
@@ -62,6 +71,43 @@ class PhaseBudgetError(FloatingPointError):
         return "{} puts the largest phase {}".format(*self.args)
 
 
+def _check_phase(x: float, energy_unit: float) -> None:
+    """Raise PhaseBudgetError where eps * x exceeds PHASE_BUDGET."""
+    rounding = np.finfo(float).eps * x
+    if rounding > PHASE_BUDGET:
+        raise PhaseBudgetError(
+            "max|t|", f"a*max|t|/energy_unit at {x:.3g} (energy unit "
+            f"{energy_unit:.6g}): float64 resolves it only to eps*x = "
+            f"{rounding:.3g}, above the budget {PHASE_BUDGET:g}")
+
+
+# dbdsqr(uplo, n, ncvt, nru, ncc, d, e, vt, ldvt, u, ldu, c, ldc, work, info)
+# as scipy.linalg.cython_lapack declares it, its double type written d
+_DBDSQR_SIGNATURE = ("void (char *, int *, int *, int *, int *, d *, d *, d *, "
+                     "int *, d *, int *, d *, int *, d *, int *)")
+
+
+def _bind_dbdsqr():
+    """LAPACK dbdsqr as a ctypes function, from the pointer that
+    scipy.linalg.cython_lapack exports in a capsule named by its C
+    signature. Any other signature (64-bit integers, say) refuses to load
+    rather than pass arguments of the wrong type."""
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__["dbdsqr"]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    if re.sub(r"__pyx_t_\w*cython_lapack_d\b", "d", name.decode()) != _DBDSQR_SIGNATURE:
+        raise ImportError(f"scipy's dbdsqr has the signature {name.decode()!r}")
+    i, d = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, i, i, i, i, d, d, d, i, d, i,
+                            d, i, d, i)(get_pointer(capsule, name))
+
+
+_dbdsqr = _bind_dbdsqr()
+
+
 @dataclass
 class TimeGrid:
     """Uniform grid 0, dt, 2*dt, ..., t_max in units of 1/energy_unit, with
@@ -80,8 +126,9 @@ class TimeGrid:
 @dataclass(frozen=True)
 class Plan:
     """What plan() decides: the propagator kind, the eigensolver of
-    hermitian_spectral (tridiagonal or dense, else None), the Gershgorin scale
-    a and the largest phase x = a max|t| / energy_unit (0 without times)."""
+    hermitian_spectral (bidiagonal, tridiagonal or dense, else None), the
+    Gershgorin scale a and the largest phase x = a max|t| / energy_unit (0
+    without times)."""
 
     kind: str
     eigensolver: str | None
@@ -93,9 +140,11 @@ class Plan:
 class Propagator:
     """What spectral_decompose keeps to carry out its plan; every kind gives
     the ket and bra amplitudes on the rows asked for (_amplitudes).
-    hermitian_spectral keeps the eigenpairs; scaled_expm the dense H, stepped
-    by matrix exponentials, as the eigenbasis of a non-Hermitian chain is too
-    ill conditioned to trust; chebyshev H/a as a sparse CSR matrix."""
+    hermitian_spectral keeps the eigenpairs, or with the bidiagonal solver
+    only the subdiagonal of H, which _amplitudes decomposes once the rows
+    and psi are known; scaled_expm the dense H, stepped by matrix
+    exponentials, as the eigenbasis of a non-Hermitian chain is too ill
+    conditioned to trust; chebyshev H/a as a sparse CSR matrix."""
 
     plan: Plan
     dim: int
@@ -143,16 +192,20 @@ def plan(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
     dense eigh, priced at dim^3, otherwise. ?stevd skips the O(dim^3)
     reduction of dense eigh, which leaves such an H as it is (the eigenpairs
     agree bit for bit with OpenBLAS 0.3.31): 3x faster at dim 400, 15x at
-    dim 2000. MRRR (?stemr) took 19 ms against 6 ms at dim 400."""
+    dim 2000. MRRR (?stemr) took 19 ms against 6 ms at dim 400.
+
+    Such an H that also stores no diagonal entry couples even sites only to
+    odd ones; given a probe W of at most _BIDIAGONAL_ROWS support rows it
+    takes the bidiagonal solver (LAPACK ?bdsqr, _bidiagonal_rows), priced
+    as the tridiagonal one. It forms only the singular-vector rows that W
+    and psi0 need, and resolves small singular values (the edge modes) to
+    high relative accuracy. Without W (the library call
+    spectral_decompose(H), or an eigenstate psi0, which needs every
+    eigenvector) or with a wider W, ?stevd is faster."""
     scale = gershgorin_bound(H)
     t_max = 0.0 if times is None else np.abs(times).max(initial=0.0)
     x = scale * (t_max / H.energy_unit)
-    rounding = np.finfo(float).eps * x
-    if rounding > PHASE_BUDGET:
-        raise PhaseBudgetError(
-            "max|t|", f"a*max|t|/energy_unit at {x:.3g} (energy unit "
-            f"{H.energy_unit:.6g}): float64 resolves it only to eps*x = "
-            f"{rounding:.3g}, above the budget {PHASE_BUDGET:g}")
+    _check_phase(x, H.energy_unit)
     if not H.hermitian:
         return Plan("scaled_expm", None, scale, x)
     tridiagonal = (np.isrealobj(H.values)
@@ -161,8 +214,11 @@ def plan(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
     if (W is not None and times is not None and _CHEBYSHEV_COST
             * _chebyshev_terms(x) * len(times) * W.support.size < eigh_cost):
         return Plan("chebyshev", None, scale, x)
-    return Plan("hermitian_spectral", "tridiagonal" if tridiagonal else "dense",
-                scale, x)
+    solver = "tridiagonal" if tridiagonal else "dense"
+    if (tridiagonal and W is not None and W.support.size <= _BIDIAGONAL_ROWS
+            and not (H.rows == H.cols).any()):
+        solver = "bidiagonal"
+    return Plan("hermitian_spectral", solver, scale, x)
 
 
 def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
@@ -179,6 +235,8 @@ def spectral_decompose(H: HamiltonianMatrix, W: OperatorMatrix | None = None,
                        np.searchsorted(H.rows, np.arange(H.dim + 1))),
                       shape=(H.dim, H.dim))
         return Propagator(**keep, hamiltonian=S)
+    if chosen.eigensolver == "bidiagonal":
+        return Propagator(**keep, hamiltonian=_tridiagonal_band(H)[1])
     try:
         if chosen.eigensolver == "tridiagonal":
             lam, V = scipy.linalg.eigh_tridiagonal(
@@ -352,14 +410,20 @@ def _amplitudes(prop: Propagator, psi: np.ndarray, rows: np.ndarray, tau):
     """The ket amplitudes <r| e^{-iH tau} |psi> and the bra amplitudes
     <r| e^{-iH^dag tau} |psi> on the given rows as R x n_t arrays, and the
     metadata of the propagator kind. A Hermitian kind returns one array
-    object for both."""
+    object for both. Times whose largest phase eps * a max|tau| exceeds
+    PHASE_BUDGET are refused, as plan() refuses them, before any kind sizes
+    its work by them."""
+    _check_phase(prop.plan.scale * np.abs(tau).max(initial=0.0), prop.energy_unit)
     if prop.kind == "scaled_expm":
         f, g, block, formed = _stepping_amplitudes(prop.hamiltonian, psi, rows, tau)
         return f, g, {"step_block": block, "step_matrices": formed}
     if prop.kind == "chebyshev":
         f, M = _chebyshev_amplitudes(prop, psi, rows, tau)
         return f, f, {"chebyshev_terms": M, "chebyshev_scale": prop.plan.scale}
-    f = _spectral_rows(prop, psi, rows, tau)
+    if prop.plan.eigensolver == "bidiagonal":
+        f = _bidiagonal_rows(prop.hamiltonian, psi, rows, tau)
+    else:
+        f = _spectral_rows(prop, psi, rows, tau)
     return f, f, {"eigensolver": prop.plan.eigensolver}
 
 
@@ -386,6 +450,119 @@ def _spectral_rows(prop, psi0, rows, tau):
     summed over the eigenvalues by _phase_sum."""
     A = prop.eigenvectors[rows, :] * (prop.eigenvectors.conj().T @ psi0)
     return _phase_sum(A, prop.eigenvalues, tau)
+
+
+def _bidiagonal_rows(band, psi, rows, tau):
+    """<r| e^{-iH tau} |psi> on the given rows of a real tridiagonal H with a
+    zero diagonal and the subdiagonal band, as an R x n_t array; a real one
+    where psi is real and lies, like every row, on one class (even or odd
+    sites), as the sine term then vanishes.
+
+    Such an H couples even sites only to odd ones: ordered so, it is
+    [[0, B], [B^T, 0]] with B lower bidiagonal, its diagonal band[0::2] and
+    subdiagonal band[1::2] (an odd dim appends a zero to the diagonal: a
+    decoupled odd site at zero energy). With B = Q diag(sigma) P^T, an even
+    row r evolves as sum_k Q[r,k] ((Q^T psi_e)_k cos(sigma_k tau)
+    - i (P^T psi_o)_k sin(sigma_k tau)), an odd row likewise with P and Q
+    swapped. _bdsqr carries unit rows for the even probe rows and the even
+    part of psi through Q, unit columns for the odd rows and the odd part
+    of psi through P^T; a complex psi takes its real and imaginary parts
+    apart. The cosine and sine sums over the n = ceil(dim/2) nodes sigma_k
+    are real (_cos_sin_sum). A sample at tau = 0 is psi on the rows, not
+    the rounded sum over the nodes."""
+    n = (psi.size + 1) // 2
+    diag = np.zeros(n)
+    diag[:(band.size + 1) // 2] = band[0::2]
+    parts = np.stack([psi.real, psi.imag]) if psi.imag.any() else psi.real[None]
+    P = len(parts)
+    halves = np.zeros((2, P, n))
+    halves[0] = parts[:, 0::2]
+    halves[1, :, :psi.size // 2] = parts[:, 1::2]
+    odd, sites = rows % 2, rows // 2
+    carried = []
+    for c in (0, 1):
+        picked = sites[odd == c]
+        start = np.zeros((picked.size + P, n))
+        start[np.arange(picked.size), picked] = 1.0
+        start[picked.size:] = halves[c]
+        carried.append(start)
+    u, vt = np.asfortranarray(carried[0]), np.asfortranarray(carried[1].T)
+    sigma = _bdsqr(diag, band[1::2], u, vt)
+    X = np.empty((rows.size, n))
+    projected = np.empty((2, P, n))
+    for c, end in enumerate((u, vt.T)):
+        X[odd == c] = end[:-P]
+        projected[c] = end[-P:]
+    a = (X[:, None, :] * projected[odd]).reshape(-1, n)
+    b = (X[:, None, :] * projected[1 - odd]).reshape(-1, n)
+    C, S = _cos_sin_sum(a, b if b.any() else None, sigma, tau)
+    f = (C if S is None else C - 1j * S).reshape(rows.size, P, -1)
+    f = f[:, 0] if P == 1 else f[:, 0] + 1j * f[:, 1]
+    f[:, tau == 0] = (psi.real if np.isrealobj(f) else psi)[rows, None]
+    return f
+
+
+def _bdsqr(d, e, u, vt):
+    """The singular values, in descending order, of the lower bidiagonal B
+    with diagonal d and subdiagonal e; with B = Q diag(sigma) P^T it
+    overwrites the Fortran-ordered float64 u (R x n) with u Q and vt (n x C)
+    with P^T vt, never forming Q or P. Both come from LAPACK dbdsqr, in two
+    calls. Without vectors it runs dqds (?lasq1), which gets every singular
+    value to high relative accuracy (Demmel and Kahan). With vectors it runs
+    implicit QR, which deflates at an off-diagonal below about 90 eps
+    relative: its values, off by up to 1e-14 relative, would become phase
+    errors that grow with tau (on a disorder_sweep member at t = 400, 8.5e-13
+    in s against 2.5e-13 with the dqds values, measured against a
+    Chebyshev series within 6e-14 of a 32-digit evaluation). The two
+    calls share the descending order; the values-only one costs 1.4 ms at
+    n = 200, the one carrying two rows 2.9 ms."""
+    sigma = _dbdsqr_call(d, e, np.zeros((0, d.size), order="F"),
+                         np.zeros((d.size, 0), order="F"))
+    if u.size or vt.size:
+        _dbdsqr_call(d, e, u, vt)
+    return sigma
+
+
+def _dbdsqr_call(d, e, u, vt):
+    """One dbdsqr call on copies of d and e; returns the singular values."""
+    n = d.size
+    d = d.astype(float)
+    e = np.append(np.asarray(e, dtype=float), 0.0)    # room for n = 1
+    work = np.empty(max(1, 4 * n))
+    info = ctypes.c_int()
+    ints = [ctypes.byref(ctypes.c_int(k)) for k in
+            (n, vt.shape[1], u.shape[0], 0, max(1, n), max(1, u.shape[0]), 1)]
+    _dbdsqr(b"L", *ints[:4], d.ctypes.data, e.ctypes.data, vt.ctypes.data,
+            ints[4], u.ctypes.data, ints[5], work.ctypes.data, ints[6],
+            work.ctypes.data, ctypes.byref(info))
+    if info.value:
+        raise EigensolverError(f"bidiagonal SVD failed: dbdsqr info {info.value}")
+    return d
+
+
+def _cos_sin_sum(a, b, nodes, tau):
+    """sum_k a[r,k] cos(nodes_k tau) and sum_k b[r,k] sin(nodes_k tau) for
+    the rows of the real arrays a and b as R x n_t arrays; b None gives no
+    sine sum. On a grid that _grid_block splits into blocks of B, the angle
+    sums cos(x + y) = cos x cos y - sin x sin y and sin(x + y) = sin x cos y
+    + cos x sin y join coarse angles nodes * tau[b*B] and fine ones
+    nodes * (tau[m] - tau[0]) in one matrix product, as _phase_blocks joins
+    exponentials; other grids take the n x n_t tables."""
+    B = _grid_block(tau)
+    if B is None:
+        phase = np.multiply.outer(nodes, tau)
+        return a @ np.cos(phase), None if b is None else b @ np.sin(phase)
+    coarse = np.multiply.outer(tau[::B], nodes)[:, None, :]
+    cos, sin = np.cos(coarse), np.sin(coarse)
+    blocks = [np.concatenate([a * cos, -a * sin], axis=2)]
+    if b is not None:
+        blocks.append(np.concatenate([b * sin, b * cos], axis=2))
+    lhs = np.concatenate(blocks, axis=1)
+    fine = np.multiply.outer(nodes, tau[:B] - tau[0])
+    out = lhs.reshape(-1, 2 * nodes.size) @ np.concatenate([np.cos(fine), np.sin(fine)])
+    out = out.reshape(lhs.shape[0], lhs.shape[1], B).transpose(1, 0, 2)
+    out = out.reshape(lhs.shape[1], -1)[:, :tau.size]
+    return out[:a.shape[0]], None if b is None else out[a.shape[0]:]
 
 
 def _flush(M: np.ndarray) -> np.ndarray:
@@ -499,10 +676,15 @@ def otoc_series(prop: Propagator, W: OperatorMatrix, psi0: StateVector,
     On a uniform grid of n_t >= 4 samples the spectral form evaluates
     2*ceil(sqrt(n_t)) exponentials per eigenvalue (_phase_blocks), 90 for
     the default 2001 samples, instead of n_t; other grids take n_t per
-    eigenvalue. Stepping at most B = ceil(sqrt(n_t)) rows on such a grid
-    forms e^{-iHh} and its B-th power and makes about 4*B matrix-vector
-    products; other inputs take one matrix exponential (two for a complex
-    H) per distinct step and two products per sample. The metadata holds B
+    eigenvalue. The bidiagonal solver sums real cosines and sines over the
+    dim/2 singular values instead, blocked the same way (_cos_sin_sum), and
+    only cosines where psi0 and the rows lie on one class: on a dim-400
+    disorder_sweep member (one row, 2001 samples, one BLAS thread) about
+    1 ms against about 2 ms for the phase sum over the 400 eigenvalues.
+    Stepping at most B = ceil(sqrt(n_t)) rows on such a grid forms
+    e^{-iHh} and its B-th power and makes about 4*B matrix-vector products;
+    other inputs take one matrix exponential (two for a complex H) per
+    distinct step and two products per sample. The metadata holds B
     (1 for the sample loop) under step_block and the count of exponentials
     and powers under step_matrices. The Chebyshev series takes M sparse
     products for the moments (in real arithmetic where H and psi0 are real),

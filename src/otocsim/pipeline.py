@@ -58,7 +58,7 @@ def build_hamiltonian(model: str, params: dict,
 def build_initial_state(H: HamiltonianMatrix, spec: dict,
                         prop: Propagator | None = None) -> StateVector:
     """The configured psi0; an eigenstate reuses the eigenpairs of prop when
-    it is given."""
+    it is given and holds them."""
     kind = spec["kind"]
     fields = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "basis":
@@ -72,7 +72,8 @@ def build_initial_state(H: HamiltonianMatrix, spec: dict,
     if kind == "staggered":
         return operators.staggered_state(H.layout, **fields)
     if kind == "eigenstate":
-        eigenpairs = None if prop is None else (prop.eigenvalues, prop.eigenvectors)
+        eigenpairs = (None if prop is None or prop.eigenvectors is None
+                      else (prop.eigenvalues, prop.eigenvectors))
         return operators.eigenstate(H, eigenpairs, **fields)
     raise ConfigError(f"unknown initial state kind {kind!r}")
 

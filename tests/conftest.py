@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 from hypothesis import settings
 
+from otocsim import dynamics
+
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
@@ -38,8 +40,10 @@ def rng():
 
 @pytest.fixture
 def no_eigensolver(monkeypatch):
-    """Any call of dense eigh or of the tridiagonal solver fails the test."""
+    """Any call of dense eigh, of the tridiagonal solver or of the bidiagonal
+    SVD (LAPACK dbdsqr) fails the test."""
     def solver(*args, **kwargs):
         raise AssertionError("an eigensolver ran")
     monkeypatch.setattr(np.linalg, "eigh", solver)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solver)
+    monkeypatch.setattr(dynamics, "_dbdsqr", solver)

@@ -265,9 +265,10 @@ def test_term_count_at_the_corner_scan_end_points(nu_p, M):
 
 
 def test_cost_rule_keeps_eigh_for_a_disorder_member(no_eigensolver):
+    # a chain with a zero diagonal and a one-row probe: the bidiagonal SVD
     got = plan_of(disorder_member_config())
     assert got.kind == "hermitian_spectral"
-    assert got.eigensolver == "tridiagonal"
+    assert got.eigensolver == "bidiagonal"
 
 
 def clean_chain_config(N):
@@ -279,10 +280,57 @@ def clean_chain_config(N):
 
 def test_cost_rule_prices_a_chain_by_the_tridiagonal_solver(no_eigensolver):
     # a dim-1000 chain weighs 5.1e8 against dim^3 = 1e9, which would pick the
-    # series, but against 300 * dim^2 = 3e8 for the tridiagonal solver
+    # series, but against 300 * dim^2 = 3e8 for the tridiagonal solver; the
+    # bidiagonal SVD that its one-row probe then takes is priced the same
     got = plan_of(clean_chain_config(500))
     assert got.kind == "hermitian_spectral"
-    assert got.eigensolver == "tridiagonal"
+    assert got.eigensolver == "bidiagonal"
+
+
+def index_probe(dim, rows):
+    weights = np.zeros(dim)
+    weights[rows] = 1.0
+    return OperatorMatrix(dim=dim, opnorm_bound=1.0, weights=weights)
+
+
+@pytest.mark.parametrize("rows, want", [(16, "bidiagonal"), (17, "tridiagonal")])
+def test_cost_rule_gives_the_bidiagonal_svd_at_most_16_rows(no_eigensolver, rows, want):
+    # ?bdsqr carries every probe row through its rotations, so wide probes
+    # keep ?stevd
+    H = build_ssh(200, 0.6)
+    W = index_probe(H.dim, np.arange(0, 4 * rows, 4))
+    got = dynamics.plan(H, W, dynamics.TimeGrid(t_max=400.0, dt=0.2).times())
+    assert (got.kind, got.eigensolver) == ("hermitian_spectral", want)
+
+
+@pytest.mark.parametrize("case", ["no_probe", "diagonal", "eta"])
+def test_bidiagonal_svd_needs_a_probe_and_a_zero_diagonal(no_eigensolver, case):
+    H = {"no_probe": lambda: build_ssh(200, 0.6),
+         "diagonal": lambda: HamiltonianMatrix(
+             dim=400, hermitian=True, layout=build_ssh(200, 0.6).layout,
+             entries=build_ssh(200, 0.6).entries + 0.1 * np.eye(400)),
+         "eta": lambda: build_ssh(200, 0.6, eta=0.3)}[case]()
+    W = None if case == "no_probe" else index_probe(H.dim, [0])
+    got = dynamics.plan(H, W, dynamics.TimeGrid(t_max=400.0, dt=0.2).times())
+    assert got.eigensolver == ("dense" if case == "eta" else "tridiagonal")
+
+
+def test_chebyshev_evolve_refuses_a_phase_past_the_budget(always_chebyshev, monkeypatch):
+    # eps * a * t near 1e-3: the term search would ask for about 1e13
+    # moments; the budget must refuse the time before anything is sized
+    H = build_ssh(20, 0.6)
+    W = site_projector(H.layout, [[1, "A"]])
+    prop = spectral_decompose(H, W, np.arange(11) * 0.2)
+    assert prop.kind == "chebyshev"
+
+    def never(x):
+        raise AssertionError("the term count was asked for")
+    monkeypatch.setattr(dynamics, "_chebyshev_terms", never)
+    psi = basis_state(H.layout, 1, "A")
+    with pytest.raises(dynamics.PhaseBudgetError, match=r"above the budget"):
+        evolve(prop, psi, 3e12)
+    with pytest.raises(dynamics.PhaseBudgetError, match=r"above the budget"):
+        dynamics.otoc_amplitude(prop, W, psi, 3e12)
 
 
 def test_cost_rule_picks_the_series_for_a_long_chain(no_eigensolver):
@@ -327,22 +375,25 @@ HALDANE = {"model": "haldane",
 TWO_SITES = {"kind": "site_projector", "sites": [[1, "A"], [1, "B"]]}
 DISORDER = {"d1": 1.0, "d2": 2.0, "seed": 2000}
 TRIDIAGONAL, DENSE = ("hermitian_spectral", "tridiagonal"), ("hermitian_spectral", "dense")
+BIDIAGONAL = ("hermitian_spectral", "bidiagonal")
 # The end points of the three benchmark workloads and a point of every
-# acceptance check, with the kind and eigensolver each took before plan()
-# existed (run_point metadata, or spectral_decompose(H) where a check calls
-# it without probe and times).
+# acceptance check, with the kind each took before plan() existed (run_point
+# metadata, or spectral_decompose(H) where a check calls it without probe
+# and times) and its eigensolver. A chain with a zero diagonal and a probe
+# of at most 16 rows has since moved from the tridiagonal solver to the
+# bidiagonal SVD.
 PLANS = {
     "disorder_sweep_first": (dict(chain(N=200, nu=0.6), disorder=DISORDER),
-                             TRIDIAGONAL),
+                             BIDIAGONAL),
     "disorder_sweep_last": (dict(chain(N=200, nu=1.3),
-                                 disorder=dict(DISORDER, seed=2009)), TRIDIAGONAL),
+                                 disorder=dict(DISORDER, seed=2009)), BIDIAGONAL),
     "corner_scan_first": (corner_point(0.55), ("chebyshev", None)),
     "corner_scan_last": (corner_point(0.90), ("chebyshev", None)),
     "nonhermitian_sweep_first": (chain("nonhermitian_ssh", N=200, nu=0.8, delta=0.4),
                                  ("scaled_expm", None)),
     "nonhermitian_sweep_last": (chain("nonhermitian_ssh", N=200, nu=1.4, delta=0.4),
                                 ("scaled_expm", None)),
-    "c01": (chain(N=200, nu=0.2), TRIDIAGONAL),
+    "c01": (chain(N=200, nu=0.2), BIDIAGONAL),
     "c02": (dict(chain(N=200, nu=0.5, t_max=190.0),
                  w_operator={"kind": "chiral_partial"}), TRIDIAGONAL),
     "c03": ({"model": "extended_chain", "params": {"N": 200, "nu": 0.5}},
@@ -352,23 +403,23 @@ PLANS = {
             TRIDIAGONAL),
     "c06": (dict(chain("creutz", N=200, eta0=0.5, eta0p=1.0), w_operator=TWO_SITES),
             DENSE),
-    "c07_eta_zero": (chain(N=200, nu=1.0, eta=0.0), TRIDIAGONAL),
+    "c07_eta_zero": (chain(N=200, nu=1.0, eta=0.0), BIDIAGONAL),
     "c07_eta": (chain(N=200, nu=1.0, eta=1.5), DENSE),
     "c08": (HALDANE, DENSE),
     "c09": ({"model": "ssh2d", "params": {"Nx": 20, "Ny": 20, "nu_p": 0.55, "w": 1.0}},
             DENSE),
     "c10": (chain("nonhermitian_ssh", N=200, nu=1.4, delta=0.4), ("scaled_expm", None)),
     "c11a": (dict(chain(N=200, nu=0.2), disorder={"d1": 0.5, "d2": 1.0, "seed": 1}),
-             TRIDIAGONAL),
+             BIDIAGONAL),
     "c12_creutz": (dict(chain("creutz", t_max=10.0, dt=0.5, N=50, eta0=0.8, eta0p=1.0),
                         w_operator=TWO_SITES), ("chebyshev", None)),
     "c12_chain": (chain(N=200, nu=0.5, t_max=10.0, dt=0.5), ("chebyshev", None)),
     "c12_chiral": (dict(chain(N=200, nu=0.5, t_max=10.0, dt=0.5),
                         w_operator={"kind": "chiral_partial"}), TRIDIAGONAL),
-    "c12_small_chain": (chain(N=40, nu=1.6, t_max=40.0, dt=0.5), TRIDIAGONAL),
+    "c12_small_chain": (chain(N=40, nu=1.6, t_max=40.0, dt=0.5), BIDIAGONAL),
     "c12_small_disorder": (dict(chain(N=40, nu=0.5, t_max=40.0, dt=0.5),
                                 disorder={"d1": 0.5, "d2": 1.0, "seed": 21}),
-                           TRIDIAGONAL),
+                           BIDIAGONAL),
 }
 
 

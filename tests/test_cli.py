@@ -56,7 +56,7 @@ def test_otoc_json_envelope_round_trips(tmp_path):
     assert len(env["otoc"]) == 101
     meta = env["metadata"]
     assert meta["propagator"] == "hermitian_spectral"
-    assert meta["eigensolver"] == "tridiagonal"
+    assert meta["eigensolver"] == "bidiagonal"
     assert meta["model"] == "ssh" and meta["fingerprint"] == env["fingerprint"]
     assert "step_block" not in meta
 

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from otocsim import dynamics, pipeline
+from otocsim.analytic import extended_chain_hamiltonian
 from otocsim.dynamics import (EigensolverError, OtocSeries, Propagator,
                               TimeGrid, evolve, long_time_limit,
                               otoc_amplitude, otoc_series, otoc_trace_oracle,
@@ -436,9 +437,10 @@ def test_tridiagonal_solver_matches_dense_eigh(cfg):
     assert np.linalg.norm(H.entries @ V - V * lam) <= 1e-12
     assert np.linalg.norm(V.T @ V - np.eye(H.dim)) <= 1e-12
 
+    # with its one-row probe the point itself takes the bidiagonal SVD
     series = pipeline.run_point(cfg)
     assert series.metadata["propagator"] == "hermitian_spectral"
-    assert series.metadata["eigensolver"] == "tridiagonal"
+    assert series.metadata["eigensolver"] == "bidiagonal"
     W = pipeline.build_w_operator(H, cfg["w_operator"])
     psi = pipeline.build_initial_state(H, cfg["initial_state"])
     want = otoc_series(dense, W, psi, times=series.times)
@@ -475,6 +477,42 @@ def test_decoupled_cells_take_the_tridiagonal_solver():
     got = otoc_series(prop, W, psi, times=times).values
     want = otoc_series(dense, W, psi, times=times).values
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("psi_kind", ["edge_A", "both_edges_complex"])
+def test_bidiagonal_svd_matches_dense_eigh_at_the_edge_phase(psi_kind):
+    # nu = 0.2: the edge pair sits at +-1.5e-140, which dense eigh resolves
+    # only to about 1e-17; both ends carry it, on opposite classes
+    H = build_ssh(200, 0.2)
+    W = site_projector(H.layout, [[1, "A"], [200, "B"]])
+    amplitudes = np.zeros(H.dim, dtype=complex)
+    if psi_kind == "edge_A":
+        amplitudes[0] = 1.0
+    else:
+        amplitudes[[0, H.dim - 1]] = [0.6, 0.8j]
+    psi = StateVector(dim=H.dim, amplitudes=amplitudes)
+    times = TimeGrid().times()
+    prop = spectral_decompose(H, W, times)
+    assert prop.plan.eigensolver == "bidiagonal"
+    got = otoc_series(prop, W, psi, times=times)
+    want = otoc_series(dense_propagator(H), W, psi, times=times)
+    assert got.metadata["eigensolver"] == "bidiagonal"
+    assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-12
+    at_zero = psi.amplitudes[W.support]      # tau = 0 gives psi exactly
+    assert got.amplitudes[0] == W.contract(at_zero, at_zero)
+
+
+@pytest.mark.parametrize("cost", [300, 0], ids=["bidiagonal", "chebyshev"])
+def test_eigenstate_from_a_propagator_without_eigenpairs(monkeypatch, cost):
+    # such a propagator leaves the eigenstate to a fresh eigh
+    monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", cost)
+    H = build_ssh(20, 0.6)
+    W = site_projector(H.layout, [[1, "A"]])
+    prop = spectral_decompose(H, W, TimeGrid(t_max=20.0, dt=0.2).times())
+    assert prop.eigenvectors is None
+    got = pipeline.build_initial_state(H, {"kind": "eigenstate"}, prop)
+    want = pipeline.build_initial_state(H, {"kind": "eigenstate"})
+    np.testing.assert_array_equal(got.amplitudes, want.amplitudes)
 
 
 def stepped(H, W, psi, times):
@@ -564,7 +602,12 @@ def phase_rotated(H):
                              hermitian=H.hermitian, layout=H.layout)
 
 
-ORACLE_KINDS = {       # every chain has dim 32; (H, kind, eigensolver)
+ORACLE_KINDS = {       # dim 32 (31 for the odd chain); (H, kind, eigensolver)
+    "bidiagonal": lambda: (build_ssh(16, 0.6), "hermitian_spectral", "bidiagonal"),
+    # nu = 0 zeroes the diagonal of the bidiagonal block
+    "bidiagonal_nu0": lambda: (build_ssh(16, 0.0), "hermitian_spectral", "bidiagonal"),
+    "bidiagonal_odd": lambda: (extended_chain_hamiltonian(15, 0.6),
+                               "hermitian_spectral", "bidiagonal"),
     "tridiagonal": lambda: (build_ssh(16, 0.6), "hermitian_spectral", "tridiagonal"),
     "dense": lambda: (build_creutz(16, 1.0, 0.5), "hermitian_spectral", "dense"),
     "chebyshev": lambda: (build_creutz(16, 1.0, 0.5), "chebyshev", None),
@@ -572,12 +615,24 @@ ORACLE_KINDS = {       # every chain has dim 32; (H, kind, eigensolver)
     "stepping_complex": lambda: (phase_rotated(build_nonhermitian_ssh(16, 1.1, 0.4)),
                                  "scaled_expm", None),
 }
-ORACLE_PROBES = {
-    "one_row": lambda layout: site_projector(layout, [[1, "A"]]),
-    # all 32 rows, more than the B = 23 of the uniform grid
-    "wide": lambda layout: OperatorMatrix(dim=layout.dim, opnorm_bound=1.0,
-                                          weights=np.linspace(-1.0, 1.0, layout.dim)),
-    "dense_j2": lambda layout: chiral_partial(layout, j=2),
+
+
+def chiral_j2(dim):
+    """chiral_partial(j=2) of the 16-cell chain, sigma_2 blocks on rows 0-29,
+    as an operator on dim >= 30 rows."""
+    W = chiral_partial(LatticeLayout(kind="chain1d", cells_x=16, cells_y=1,
+                                     sublattices=2), j=2)
+    return OperatorMatrix(dim=dim, opnorm_bound=1.0, triplets=(W.rows, W.cols, W.values))
+
+
+ORACLE_PROBES = {     # the first on an even row only, the others on both classes
+    "one_row": lambda dim: OperatorMatrix(dim=dim, opnorm_bound=1.0,
+                                          weights=np.eye(dim)[0]),    # site (1, A)
+    # every row (but the middle one of 31), more than the B = 23 of the
+    # uniform grid
+    "wide": lambda dim: OperatorMatrix(dim=dim, opnorm_bound=1.0,
+                                       weights=np.linspace(-1.0, 1.0, dim)),
+    "dense_j2": chiral_j2,
 }
 ORACLE_TIMES = {
     "uniform": np.arange(501) * 0.2,
@@ -590,13 +645,17 @@ ORACLE_TIMES = {
 @pytest.mark.parametrize("kind", sorted(ORACLE_KINDS))
 def test_every_propagator_matches_the_trace_oracle(monkeypatch, kind, probe, times):
     H, want_kind, want_solver = ORACLE_KINDS[kind]()
-    W = ORACLE_PROBES[probe](H.layout)
+    W = ORACLE_PROBES[probe](H.dim)
     t = ORACLE_TIMES[times]
     if kind == "chebyshev":
         # a zero cost constant makes the rule pick the series; it is picked
         # for a one-row probe, but serves any
         monkeypatch.setattr(dynamics, "_CHEBYSHEV_COST", 0)
         prop = spectral_decompose(H, site_projector(H.layout, [[1, "A"]]), t)
+    elif want_solver == "bidiagonal":
+        # picked for a one-row probe (without times, so never the series),
+        # but serves any
+        prop = spectral_decompose(H, ORACLE_PROBES["one_row"](H.dim))
     else:
         prop = spectral_decompose(H)
     assert (prop.kind, prop.plan.eigensolver) == (want_kind, want_solver)

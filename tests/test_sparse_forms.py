@@ -137,15 +137,15 @@ DISORDER_MEMBER_J2 = dict(DISORDER_MEMBER,
                           w_operator={"kind": "chiral_partial", "j": 2})
 
 
-@pytest.mark.parametrize("cfg, kind, at_zero",
-                         [(CORNER, "chebyshev", 1.0),
-                          (DISORDER_MEMBER, "hermitian_spectral", 1.0),
-                          (DISORDER_MEMBER_J2, "hermitian_spectral", 0.0)],
+@pytest.mark.parametrize("cfg, kind, solver, at_zero",
+                         [(CORNER, "chebyshev", None, 1.0),
+                          (DISORDER_MEMBER, "hermitian_spectral", "bidiagonal", 1.0),
+                          (DISORDER_MEMBER_J2, "hermitian_spectral", "tridiagonal", 0.0)],
                          ids=["corner", "disorder_member", "disorder_member_j2"])
-def test_fast_paths_build_no_dense_matrix(no_dense, cfg, kind, at_zero):
+def test_fast_paths_build_no_dense_matrix(no_dense, cfg, kind, solver, at_zero):
     series = pipeline.run_point(cfg)
     assert series.metadata["propagator"] == kind
-    assert series.metadata.get("eigensolver", "tridiagonal") == "tridiagonal"
+    assert series.metadata.get("eigensolver") == solver
     assert series.values[0] == pytest.approx(at_zero, abs=1e-12)
 
 
